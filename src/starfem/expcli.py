@@ -1,10 +1,11 @@
 """Experiment runner: flat config files in, plot-ready CSV out.
 
 Configs are one key=value pair per line with '#' comment lines. Every
-output file starts with a comment carrying the full normalized config and
-the PRNG identifier, so a file is reproducible from its own header. Writes
-are atomic (temp file, then rename) and byte-identical across reruns of
-the same config unless the opt-in timestamp line is enabled.
+output file starts with a comment carrying the normalized experiment config
+and the PRNG identifier, so a file is reproducible from its own header; how
+the run was executed (``threads``) is not part of it. Writes are atomic
+(temp file, then rename) and byte-identical across reruns of the same
+config unless the opt-in timestamp line is enabled.
 
 Exit codes: 0 success, 2 config or argument problems, 3 numerical
 failures, 4 I/O failures.
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import math
 import os
 import re
 import sys
@@ -26,8 +28,8 @@ from .analysis import (cauchy_diagnostics, convergence_table, rate_from_errors,
                        solve_example_stage, weyl_cos_mean, weyl_fraction)
 from .errors import (ConfigError, EmptyGroupError, InvalidArgumentError,
                      NumericalBreakdownError, UndefinedRateError)
-from .femsolve import (center_flux_sum, center_identity_residual,
-                       edge_identity_residual)
+from .femsolve import (_edge_identity_defects, center_flux_sum,
+                       center_identity_residual)
 from .forcing import FAMILY_IDS
 from .stargraph import GROUP_PROBS, GROUP_VALUES, TWO_PI
 from .upscale import (build_upscaled, center_limit, predicted_edge_flux,
@@ -89,7 +91,7 @@ class ExperimentConfig:
             "seed": self.seed, "h": h, "reference": self.reference,
             "orientation": self.orientation,
             "interval": ",".join(repr(v) for v in self.interval),
-            "full_h1": str(self.full_h1).lower(), "threads": self.threads,
+            "full_h1": str(self.full_h1).lower(),
         }
         if self.noise >= 0:
             parts["noise"] = repr(self.noise)
@@ -109,9 +111,12 @@ def _float(raw: str, line: int) -> float:
     if token in _PI_TOKENS:
         return _PI_TOKENS[token]
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ConfigError(f"not a number: {raw!r}", line=line) from None
+    if not math.isfinite(value):
+        raise ConfigError(f"not a finite number: {raw!r}", line=line)
+    return value
 
 
 def _int(raw: str, line: int) -> int:
@@ -366,8 +371,7 @@ def _run_identity(config: ExperimentConfig) -> str:
     sol = solve_example_stage(config.example, config.n, config.mesh,
                               h=config.h_of(config.n), **_stage_kwargs(config))
     center_res = center_identity_residual(sol)
-    edge_res = max(edge_identity_residual(sol, ell)
-                   for ell in range(1, sol.stage.n + 1))
+    edge_res = float(_edge_identity_defects(sol).max())
     flux_gap = abs(center_flux_sum(sol) + sol.h + float(sol.node_loads[:, 0].sum()))
     rows = [(config.n, config.mesh, center_res, edge_res, flux_gap)]
     return _write_csv(config, _out_path(config), [],

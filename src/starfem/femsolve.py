@@ -3,12 +3,15 @@
 Each edge carries m uniform elements on [0,1] with the rim value fixed at
 zero, so its unknowns are the m-1 interior nodes; all edges share the one
 center unknown. The stiffness matrix is an arrowhead: per-edge tridiagonal
-blocks bordered by a single row and column for the center. Elimination
-runs bottom-up inside each edge (rim toward center), which leaves the
-center coupled only to each edge's first interior node and reduces the
-border to an explicit positive scalar, the Schur complement. A downward
-sweep per edge then recovers the interior values. Cost is O(n m), no
-fill-in, no tolerance knobs.
+blocks bordered by a single row and column for the center. Every block is
+the uniform P1 block K m (2, -1), so it is stored as one scalar per edge
+(``block_diag`` is a read-only broadcast view of 2 K m). Elimination runs
+bottom-up inside each edge (rim toward center) with pivots K m delta_k,
+where delta_k depends on the node alone: one row of multipliers is shared
+by all edges, no pivot array is formed, and the border reduces to the
+Schur scalar, which is exactly sum(K). A downward sweep with the same row
+then recovers the interior values. Cost is O(n m), no fill-in, no
+tolerance knobs; a componentwise backward-error gate certifies each solve.
 """
 from __future__ import annotations
 
@@ -29,7 +32,11 @@ class ArrowheadSystem:
     ``block_diag[e, k]`` is the diagonal entry of interior node k+1 on edge
     e; the off-diagonal inside a block is the constant ``block_off[e]``,
     which also couples the first interior node to the center. Cross-edge
-    coupling exists only through the center row.
+    coupling exists only through the center row. As assembled,
+    ``block_diag`` is a read-only broadcast view of -2 ``block_off``.
+    ``solve`` eliminates from ``block_off`` alone (one pivot row shared by
+    all edges, Schur scalar sum(K)); its backward-error gate, which reads
+    ``block_diag``, rejects a system whose blocks are not of that form.
     """
 
     stage: StarStage
@@ -116,18 +123,40 @@ class StageSolution:
         return GridFunction(m=self.m, values=self.values[ell - 1])
 
 
+def _hat_loads(F: np.ndarray, m: int) -> np.ndarray:
+    """Hat loads (k, m+1) from profile values F (k, m, 3) at the Gauss points."""
+    loads = np.zeros((F.shape[0], m + 1))
+    loads[:, :m] += F @ (GAUSS3_W * (1.0 - GAUSS3_X)) / m
+    loads[:, 1:] += F @ (GAUSS3_W * GAUSS3_X) / m
+    return loads
+
+
 def assemble_loads(field: ForcingField, stage: StarStage, m: int) -> np.ndarray:
     """Nodal load vector per edge, 3-point Gauss per element, shape (n, m+1).
 
     Includes the center (column 0) and rim (column m) rows even though the
     rim is not an unknown; the identity checks integrate against them.
+
+    A sine family A sin(b t) + c is linear in its per-edge scalars, so its
+    loads are A H(b) + c H(1) from one hat-load row per distinct frequency
+    b and one for the constant; any other field is evaluated edge by edge.
     """
-    tq = (np.arange(m)[:, None] + GAUSS3_X[None, :]) / m
+    tq = ((np.arange(m)[:, None] + GAUSS3_X[None, :]) / m).ravel()
     ells = np.arange(1, stage.n + 1)
-    F = field.values(ells, tq.ravel()).reshape(stage.n, m, 3)
-    loads = np.zeros((stage.n, m + 1))
-    loads[:, :m] += F @ (GAUSS3_W * (1.0 - GAUSS3_X)) / m
-    loads[:, 1:] += F @ (GAUSS3_W * GAUSS3_X) / m
+    if field.sine_coeffs is None:
+        F = field.values(ells, tq).reshape(stage.n, m, 3)
+        return _hat_loads(F, m)
+    ells = field._edges(ells)
+    A, b, c = (np.broadcast_to(np.asarray(v, dtype=float), ells.shape)
+               for v in field.sine_coeffs(ells))
+    if field.parameters.get("orientation", "center") == "rim":
+        tq = 1.0 - tq
+    freqs, which = np.unique(b, return_inverse=True)
+    rows = freqs[:, None] * tq[None, :]
+    np.sin(rows, out=rows)
+    loads = _hat_loads(rows.reshape(-1, m, 3), m)[which]
+    loads *= A[:, None]
+    loads += c[:, None] * _hat_loads(np.ones((1, m, 3)), m)
     return loads
 
 
@@ -142,7 +171,7 @@ def assemble(stage: StarStage, field: ForcingField, h: float,
         stage=stage,
         m=m,
         h=float(h),
-        block_diag=np.broadcast_to(2.0 * km[:, None], (stage.n, m - 1)).copy(),
+        block_diag=np.broadcast_to(2.0 * km[:, None], (stage.n, m - 1)),
         block_off=-km,
         center_diag=float(km.sum()),
         rhs_interior=loads[:, 1:m].copy(),
@@ -155,35 +184,43 @@ def assemble(stage: StarStage, field: ForcingField, h: float,
 def solve(system: ArrowheadSystem) -> StageSolution:
     """Direct elimination of an arrowhead system.
 
-    Raises numerical-breakdown if any elimination pivot or the center Schur
-    scalar fails to be positive and finite; for a correctly assembled
-    system with positive coefficients this cannot happen.
+    Every block is the uniform P1 block K m (2, -1), so bottom-up
+    elimination has the pivots K m delta_k, delta_k = (q-k+1)/(q-k) with
+    q = m-1 interior nodes, and one row of multipliers serves every edge.
+    Raises numerical-breakdown if some K m or the center Schur scalar fails
+    to be positive and finite; the backward-error gate rejects a system
+    whose blocks are not of that form.
     """
     n, q = system.rhs_interior.shape
-    b = system.block_off
-    D = np.empty((n, q))
-    y = system.rhs_interior.copy()
-    D[:, q - 1] = system.block_diag[:, q - 1]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for k in range(q - 2, -1, -1):
-            r = b / D[:, k + 1]
-            D[:, k] = system.block_diag[:, k] - b * r
-            y[:, k] -= r * y[:, k + 1]
-        if not (np.all(np.isfinite(D)) and np.all(D > 0)):
-            raise NumericalBreakdownError("non-positive elimination pivot")
-        schur = system.center_diag - float(np.sum(b * b / D[:, 0]))
-        if not (np.isfinite(schur) and schur > 0):
-            raise NumericalBreakdownError("center Schur scalar not positive")
-        center = (system.rhs_center - float(np.sum(b * y[:, 0] / D[:, 0]))) / schur
-        u = np.empty((n, q))
-        u[:, 0] = (y[:, 0] - b * center) / D[:, 0]
-        for k in range(1, q):
-            u[:, k] = (y[:, k] - b * u[:, k - 1]) / D[:, k]
+    m = q + 1
+    km = -system.block_off
+    if not (np.all(np.isfinite(km)) and np.all(km > 0)):
+        raise NumericalBreakdownError("non-positive elimination pivot")
+    j = q - np.arange(q, dtype=float)
+    delta = (j + 1.0) / j
+    # node-major (q, n) layout, so each step of a sweep is one contiguous row
+    y = system.rhs_interior.T.copy()
+    for k in range(q - 2, -1, -1):
+        y[k] += y[k + 1] / delta[k + 1]
+    # center_diag - sum(km) q/m, i.e. sum(K) for the assembled center row,
+    # in a form with no cancellation when center_diag == sum(km)
+    km_sum = float(km.sum())
+    schur = system.center_diag - km_sum + km_sum / m
+    if not (np.isfinite(schur) and schur > 0):
+        raise NumericalBreakdownError("center Schur scalar not positive")
+    center = (system.rhs_center + float(y[0].sum()) / delta[0]) / schur
+    # downward sweep in place: u_k = (y_k / km + u_{k-1}) / delta_k
+    y /= km
+    y[0] += center
+    y[0] /= delta[0]
+    for k in range(1, q):
+        y[k] += y[k - 1]
+        y[k] /= delta[k]
 
-    values = np.zeros((n, system.m + 1))
+    values = np.zeros((n, m + 1))
     values[:, 0] = center
-    values[:, 1:q + 1] = u
-    res = system.backward_error(center, u)
+    values[:, 1:m] = y.T
+    res = system.backward_error(center, values[:, 1:m])
     if not res <= 1e-12:
         raise NumericalBreakdownError(
             f"solve backward error {res:.3e} exceeds 1e-12")
@@ -235,6 +272,13 @@ def edge_flux_at_center(solution: StageSolution, ell: int) -> float:
     return float(solution.stage.coeffs[e] * slope)
 
 
+def _edge_identity_defects(solution: StageSolution) -> np.ndarray:
+    """|K p(0) + K p'(0) - int (1-t) F_e| for every edge, in one pass."""
+    K = solution.stage.coeffs
+    slopes = (solution.values[:, 1] - solution.values[:, 0]) * solution.m
+    return np.abs(K * solution.center + K * slopes - _load_moments(solution))
+
+
 def edge_identity_residual(solution: StageSolution, ell: int) -> float:
     """Defect in the per-edge balance K p(0) + K p'(0) = int (1-t) F_e.
 
@@ -243,10 +287,7 @@ def edge_identity_residual(solution: StageSolution, ell: int) -> float:
     """
     if not 1 <= ell <= solution.stage.n:
         raise InvalidArgumentError(f"edge {ell} not in stage n={solution.stage.n}")
-    e = ell - 1
-    k_p0 = solution.stage.coeffs[e] * solution.center
-    moment = float(_load_moments(solution)[e])
-    return abs(k_p0 + edge_flux_at_center(solution, ell) - moment)
+    return float(_edge_identity_defects(solution)[ell - 1])
 
 
 def center_flux_sum(solution: StageSolution) -> float:

@@ -1,10 +1,13 @@
 """Per-edge radial forcing fields and their Cesaro and angular averages.
 
-A field assigns to edge l a profile F_l(t) on [0,1]. The built-in families
-are combinations A(l) sin(b(l) t) + c(l); group averaging is plain
-arithmetic over the edges of a coefficient group. Random families pre-draw
-their per-edge randomness at construction, so evaluation is pure and safe
-to share across threads.
+A field assigns to edge l a profile F_l(t) on [0,1]. Every built-in family
+except ``manufactured`` is A(l) sin(b(l) t) + c(l) and is declared once, by
+a function returning its per-edge coefficient arrays (A, b, c): the
+pointwise profile is derived from that declaration, and the load assembly
+reads it directly to share one hat-load row between all edges with the same
+frequency b. Group averaging is plain arithmetic over the edges of a
+coefficient group. Random families pre-draw their per-edge randomness at
+construction, so evaluation is pure and safe to share across threads.
 """
 from __future__ import annotations
 
@@ -58,7 +61,11 @@ class ForcingField:
     ``bounded_l2`` is a uniform bound on the per-edge L2 norms when one
     exists. ``known_group_limit`` holds the closed-form Cesaro limit per
     group when the family has one. ``profile(ells, t)`` evaluates a whole
-    block of edges at once and is the only entry point the solver uses.
+    block of edges at once. A sine family also carries its declaration
+    ``sine_coeffs(ells) -> (A, b, c)`` (arrays or scalars per edge) of
+    A sin(b s) + c, with s = t, or s = 1 - t under ``orientation`` "rim";
+    its profile is built from it and the load assembly reads it in place of
+    ``profile``. A field without one is assembled point by point.
     """
 
     family_id: str
@@ -68,31 +75,35 @@ class ForcingField:
     bounded_l2: Optional[float] = None
     known_group_limit: Optional[tuple] = None
     max_edge: Optional[int] = None
+    sine_coeffs: Optional[Callable[[np.ndarray], tuple]] = None
 
-    def values(self, ells, t) -> np.ndarray:
-        """Profile values for edges ``ells`` at radial points ``t``.
-
-        Returns an array of shape (len(ells),) + t.shape."""
+    def _edges(self, ells) -> np.ndarray:
+        """Edge indices as an int array, checked against 1..max_edge."""
         ells = np.asarray(ells, dtype=int)
         if np.any(ells < 1):
             raise InvalidArgumentError("edge index starts at 1")
         if self.max_edge is not None and np.any(ells > self.max_edge):
             raise InvalidArgumentError(
                 f"{self.family_id} pre-drew randomness for edges 1..{self.max_edge}")
-        return self.profile(ells, np.asarray(t, dtype=float))
+        return ells
+
+    def values(self, ells, t) -> np.ndarray:
+        """Profile values for edges ``ells`` at radial points ``t``.
+
+        Returns an array of shape (len(ells),) + t.shape."""
+        return self.profile(self._edges(ells), np.asarray(t, dtype=float))
 
     def eval(self, ell: int, t: float) -> float:
         return float(self.values(np.array([ell]), np.array([t]))[0, 0])
 
 
-def _sin_family(A, b, c):
-    """Profile A(l) sin(b(l) t) + c(l) from per-edge callables."""
+def _sine_profile(coeffs):
+    """Profile A(l) sin(b(l) t) + c(l) from ``coeffs(ells) -> (A, b, c)``."""
 
     def profile(ells, t):
         tt = t.reshape((1,) + t.shape)
-        Ae = A(ells).reshape(ells.shape + (1,) * t.ndim)
-        be = b(ells).reshape(ells.shape + (1,) * t.ndim)
-        ce = c(ells).reshape(ells.shape + (1,) * t.ndim)
+        Ae, be, ce = (np.broadcast_to(v, ells.shape).reshape(
+            ells.shape + (1,) * t.ndim) for v in coeffs(ells))
         return Ae * np.sin(be * tt) + ce
 
     return profile
@@ -152,12 +163,14 @@ def builtin_field(example_id: str, parameters: dict | None = None,
     bounded = None
     limits = None
     max_edge = None
+    sine = None
 
     if example_id == "ex1":
         _validate_params(example_id, parameters, set())
-        profile = _sin_family(lambda l: PI**2 * np.cos(l),
-                              lambda l: PI * np.ones(l.shape),
-                              lambda l: np.zeros(l.shape))
+
+        def sine(l):
+            return PI**2 * np.cos(l), PI, 0.0
+
         bounded = PI**2 / _SQ2
         zero = np.zeros_like
         limits = (lambda t: zero(t), lambda t: zero(t))
@@ -174,9 +187,10 @@ def builtin_field(example_id: str, parameters: dict | None = None,
         z = stage_rng(0 if seed is None else seed, max_edge).uniform(
             -noise, noise, size=max_edge)
         z.flags.writeable = False
-        profile = _sin_family(lambda l: PI**2 * np.cos(l),
-                              lambda l: PI * np.ones(l.shape),
-                              lambda l: z[l - 1])
+
+        def sine(l):
+            return PI**2 * np.cos(l), PI, z[l - 1]
+
         bounded = PI**2 / _SQ2 + noise
         zero = np.zeros_like
         limits = (lambda t: zero(t), lambda t: zero(t))
@@ -184,26 +198,29 @@ def builtin_field(example_id: str, parameters: dict | None = None,
         _validate_params(example_id, parameters, set())
         angular = _angular_ex3 if example_id == "ex3" else (
             lambda l: (-1.0) ** l * np.sqrt(l.astype(float)))
-        profile = _sin_family(lambda l: _radial_groups(l)[0],
-                              lambda l: _radial_groups(l)[1],
-                              angular)
+
+        def sine(l):
+            return _radial_groups(l) + (angular(l),)
+
         if example_id == "ex3":
             bounded = 4 * PI**2 / _SQ2 + 20 * PI
         limits = (lambda t: 4 * PI**2 * np.sin(TWO_PI * t),
                   lambda t: PI**2 * np.sin(PI * t))
     elif example_id == "ex5":
         _validate_params(example_id, parameters, set())
-        profile = _sin_family(lambda l: _radial_groups(l)[0],
-                              lambda l: _radial_groups(l)[1] * l,
-                              lambda l: np.zeros(l.shape))
+
+        def sine(l):
+            A, b = _radial_groups(l)
+            return A, b * l, 0.0
+
         # b is an integer multiple of pi, so every edge norm is exactly A/sqrt(2)
         bounded = 4 * PI**2 / _SQ2
     elif example_id == "constant":
         _validate_params(example_id, parameters, {"c"})
         cval = float(parameters.get("c", 0.0))
 
-        def profile(ells, t):
-            return np.full(ells.shape + t.shape, cval)
+        def sine(l):
+            return 0.0, 0.0, cval
 
         bounded = abs(cval)
         limits = (lambda t: np.full_like(t, cval), lambda t: np.full_like(t, cval))
@@ -238,6 +255,8 @@ def builtin_field(example_id: str, parameters: dict | None = None,
     else:
         raise InvalidArgumentError(f"unknown example id {example_id!r}")
 
+    if sine is not None:
+        profile = _sine_profile(sine)
     if parameters.get("orientation", "center") == "rim":
         inner = profile
 
@@ -246,7 +265,8 @@ def builtin_field(example_id: str, parameters: dict | None = None,
 
     return ForcingField(family_id=example_id, parameters=parameters, seed=seed,
                         profile=profile, bounded_l2=bounded,
-                        known_group_limit=limits, max_edge=max_edge)
+                        known_group_limit=limits, max_edge=max_edge,
+                        sine_coeffs=sine)
 
 
 def edge_load_moment(field: ForcingField, ell: int, panels: int = 64) -> float:

@@ -90,6 +90,43 @@ class TestAssembly:
         assert np.linalg.eigvalsh(A)[0] > 0
 
 
+class TestFactorizedLoads:
+    """Sine families share hat-load rows; the per-edge path is the judge."""
+
+    @pytest.mark.parametrize("orientation", ["center", "rim"])
+    @pytest.mark.parametrize("family,params", [
+        ("ex1", {}),
+        ("ex2", {"n_edges": 40, "noise": 1.5}),
+        ("ex3", {}),
+        ("ex4", {}),
+        ("ex5", {}),
+        ("constant", {"c": -2.5}),
+    ])
+    def test_matches_per_edge_path(self, family, params, orientation):
+        stage = build_stage(40, source="random", seed=2)
+        field = builtin_field(family, dict(params, orientation=orientation),
+                              seed=4)
+        assert field.sine_coeffs is not None
+        per_edge = dataclasses.replace(field, sine_coeffs=None)
+        for m in (2, 37):
+            fast = assemble_loads(field, stage, m)
+            ref = assemble_loads(per_edge, stage, m)
+            assert fast.shape == ref.shape == (40, m + 1)
+            assert np.max(np.abs(fast - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_edge_range_checked_like_the_per_edge_path(self):
+        with pytest.raises(InvalidArgumentError):
+            assemble_loads(builtin_field("ex2", {"n_edges": 5}),
+                           build_stage(6), 10)
+
+    def test_block_diag_is_a_read_only_view(self):
+        system = assemble(build_stage(4), builtin_field("ex1"), 0.0, 9)
+        assert system.block_diag.shape == (4, 8)
+        assert not system.block_diag.flags.writeable
+        assert np.array_equal(system.block_diag,
+                              np.repeat(-2.0 * system.block_off[:, None], 8, 1))
+
+
 class TestSolve:
     def test_matches_dense_solve_on_identical_loads(self):
         stage = build_stage(4, source="explicit", coeffs=[0.3, 2.0, 1.0, 5.0])
@@ -157,6 +194,17 @@ class TestSolve:
         interior = sol.values[:, 1:100]
         assert system.backward_error(sol.center, interior) <= 1e-13
         assert system.residual(sol.center, interior) <= 1e-10
+
+    def test_long_edges_pass_the_gate_without_refinement(self):
+        # the shared pivot row keeps the solve backward stable at m = 3e5,
+        # where the condition number is ~1e11
+        stage = build_stage(2)
+        field = builtin_field("ex1")
+        m = 300_000
+        system = assemble(stage, field, 0.0, m)
+        sol = solve(system)
+        assert system.backward_error(sol.center, sol.values[:, 1:m]) <= 1e-12
+        assert center_identity_residual(sol) <= 1e-13
 
     def test_center_value_approaches_continuum_balance(self):
         stage = build_stage(5)
