@@ -1,16 +1,16 @@
 """Averages, norms, convergence tables, and window diagnostics.
 
 Everything here consumes stage solutions and produces plain numbers or
-rows, so the experiment runner can stay a thin formatting layer. Stage
-solves are cached by (example, parameters, coefficients, seed, n, m, h):
-the Cauchy windows revisit neighboring stages constantly and the solves
-dominate the cost.
+rows, so the experiment runner can stay a thin formatting layer. Tables
+and Cauchy windows read only group averages and the center value, which
+the group-reduced system of a stage gives exactly (``assemble_reduced``):
+``group_average_sweep`` walks the edges once, in increasing n, adds each
+block's loads to running group sums, and solves one reduced system per
+requested stage. The full n-edge solve (``solve_example_stage``) serves
+the single-stage emits and is the reference the sweep is tested against.
 """
 from __future__ import annotations
 
-import threading
-import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import (EmptyGroupError, InvalidArgumentError,
                      NumericalBreakdownError, UndefinedRateError)
-from .femsolve import StageSolution, solve_stage
+from .femsolve import (StageSolution, assemble_reduced, group_load_sums,
+                       solve, solve_stage)
 from .forcing import GridFunction, builtin_field
 from .stargraph import GROUP_PROBS, GROUP_VALUES, TWO_PI, build_stage
 from .upscale import analytic_oracle, build_upscaled, solve_upscaled
@@ -33,7 +34,6 @@ class ConvergenceRow:
     center_value: float
     reference_id: str
     m: int
-    wall_ms: float
     seed: int
 
 
@@ -122,13 +122,11 @@ def continuum_error_norms(f: GridFunction, exact: Callable,
     return float(np.sqrt(e2)), float(np.sqrt(d2))
 
 
-_STAGE_CACHE: OrderedDict = OrderedDict()
-_STAGE_CACHE_MAX = 64
-_STAGE_CACHE_LOCK = threading.Lock()
-
-
-def _params_key(parameters: dict) -> tuple:
-    return tuple(sorted((k, repr(v)) for k, v in parameters.items()))
+def _stage_parameters(example: str, n: int, parameters: dict | None) -> dict:
+    parameters = dict(parameters or {})
+    if example == "ex2":
+        parameters.setdefault("n_edges", n)
+    return parameters
 
 
 def solve_example_stage(example: str, n: int, m: int, *,
@@ -136,28 +134,91 @@ def solve_example_stage(example: str, n: int, m: int, *,
                         probs=GROUP_PROBS, values=GROUP_VALUES,
                         parameters: dict | None = None,
                         h: float = 0.0) -> StageSolution:
-    """Build and solve one stage of a built-in example, with caching."""
-    parameters = dict(parameters or {})
-    if example == "ex2":
-        parameters.setdefault("n_edges", n)
-    key = (example, _params_key(parameters), coeff, tuple(probs), tuple(values),
-           int(seed), int(n), int(m), float(h))
-    with _STAGE_CACHE_LOCK:
-        hit = _STAGE_CACHE.get(key)
-        if hit is not None:
-            _STAGE_CACHE.move_to_end(key)
-            return hit
+    """Build and solve the full n-edge stage of a built-in example."""
     stage = build_stage(n, source=coeff, seed=seed, probs=probs, values=values)
-    field = builtin_field(example, parameters, seed=seed)
+    field = builtin_field(example, _stage_parameters(example, n, parameters),
+                          seed=seed)
     try:
-        sol = solve_stage(stage, field, h, m)
+        return solve_stage(stage, field, h, m)
     except NumericalBreakdownError as exc:
         raise NumericalBreakdownError(f"stage n={n}: {exc}") from exc
-    with _STAGE_CACHE_LOCK:
-        _STAGE_CACHE[key] = sol
-        if len(_STAGE_CACHE) > _STAGE_CACHE_MAX:
-            _STAGE_CACHE.popitem(last=False)
-    return sol
+
+
+@dataclass(frozen=True)
+class StageAverages:
+    """Group averages of one stage, from its group-reduced solve.
+
+    ``averages[i]`` is the average over group i+1, or None when that group
+    has no edge at this stage; ``reduced`` is the certified reduced
+    solution (one row per non-empty group).
+    """
+
+    n: int
+    averages: tuple
+    reduced: StageSolution
+
+
+#: float64 values of Gauss-point work per block of edges in a sweep
+SWEEP_BLOCK_VALUES = 1 << 20
+
+
+def group_average_sweep(example: str, stages: Sequence[int], m: int, *,
+                        coeff: str = "deterministic", seed: int = 0,
+                        probs=GROUP_PROBS, values=GROUP_VALUES,
+                        parameters: dict | None = None, h=0.0):
+    """Yield a StageAverages for each of the strictly increasing stages.
+
+    The coefficients come from one ``build_stage`` at the largest stage
+    (both sources are prefix-stable in n). The edges are walked once, in
+    increasing index and in blocks of SWEEP_BLOCK_VALUES // (3 m) edges,
+    adding each block's loads to running per-group sums; at every
+    requested n the g-edge reduced system is assembled from those sums and
+    solved by ``solve``, so its backward-error gate certifies each stage.
+    Memory is O(block m) plus the coefficient arrays. ``ex2`` redraws its
+    noise for each stage size, so its walk restarts from edge 1 per stage.
+    ``h`` is a number or a function of n.
+    """
+    stages = [int(n) for n in stages]
+    if any(b <= a for a, b in zip(stages, stages[1:])):
+        raise InvalidArgumentError("stages must be strictly increasing")
+    if not stages:
+        return
+    if stages[0] < 2:
+        raise InvalidArgumentError("stages need n >= 2")
+    if m < 2:
+        raise InvalidArgumentError("need m >= 2 elements per edge")
+    h_of = h if callable(h) else (lambda n: float(h))
+    star = build_stage(stages[-1], source=coeff, seed=seed, probs=probs,
+                       values=values)
+    ngroups = len(star.group_values)
+    block = max(1, SWEEP_BLOCK_VALUES // (3 * m))
+    restart = example == "ex2" and "n_edges" not in (parameters or {})
+    sums = np.zeros((ngroups, m + 1))
+    counts = np.zeros(ngroups, dtype=np.int64)
+    field = None
+    for n in stages:
+        if field is None or restart:
+            field = builtin_field(
+                example, _stage_parameters(example, n, parameters), seed=seed)
+            sums[:] = 0.0
+            counts[:] = 0
+            done = 0
+        while done < n:
+            hi = min(done + block, n)
+            which = star.group_of[done:hi] - 1
+            sums += group_load_sums(field, np.arange(done + 1, hi + 1), which,
+                                    ngroups, m)
+            counts += np.bincount(which, minlength=ngroups)
+            done = hi
+        try:
+            reduced = solve(assemble_reduced(counts, star.group_values, sums,
+                                             h_of(n), m))
+        except NumericalBreakdownError as exc:
+            raise NumericalBreakdownError(f"stage n={n}: {exc}") from exc
+        rows = iter(reduced.values)
+        averages = tuple(GridFunction(m=m, values=next(rows)) if k else None
+                         for k in counts)
+        yield StageAverages(n=n, averages=averages, reduced=reduced)
 
 
 def reference_grids(example: str, reference, m: int, *,
@@ -188,34 +249,34 @@ def reference_grids(example: str, reference, m: int, *,
     return grids, "custom"
 
 
+def _group_average(avg: StageAverages, i: int) -> GridFunction:
+    """Average over 1-based group i, raising for an empty group."""
+    if not 1 <= i <= len(avg.averages):
+        raise InvalidArgumentError(f"group index {i} out of range")
+    if avg.averages[i - 1] is None:
+        raise EmptyGroupError(f"group {i} has no edges at stage n={avg.n}")
+    return avg.averages[i - 1]
+
+
 def convergence_table(example: str, stages: Sequence[int], m: int, reference,
                       *, coeff: str = "deterministic", seed: int = 0,
                       probs=GROUP_PROBS, values=GROUP_VALUES,
                       parameters: dict | None = None, h=0.0,
                       full_h1: bool = False) -> list:
     """One ConvergenceRow per (stage, group), errors against the reference."""
-    stages = [int(n) for n in stages]
-    if any(b <= a for a, b in zip(stages, stages[1:])):
-        raise InvalidArgumentError("stages must be strictly increasing")
     refs, ref_id = reference_grids(example, reference, m,
                                    parameters=parameters, probs=probs,
                                    values=values)
-    h_of = h if callable(h) else (lambda n: float(h))
     rows = []
-    for n in stages:
-        t0 = time.perf_counter()
-        sol = solve_example_stage(example, n, m, coeff=coeff, seed=seed,
-                                  probs=probs, values=values,
-                                  parameters=parameters, h=h_of(n))
-        averages = [cesaro_solution_average(sol, i + 1)
-                    for i in range(len(refs))]
-        wall = (time.perf_counter() - t0) * 1e3
-        for i, avg in enumerate(averages):
-            l2, h1 = grid_norms(avg, refs[i], full=full_h1)
-            rows.append(ConvergenceRow(n=n, group=i + 1, l2_error=l2,
-                                       h1_error=h1, center_value=sol.center,
-                                       reference_id=ref_id, m=m, wall_ms=wall,
-                                       seed=seed))
+    for avg in group_average_sweep(example, stages, m, coeff=coeff,
+                                   seed=seed, probs=probs, values=values,
+                                   parameters=parameters, h=h):
+        for i, ref in enumerate(refs, start=1):
+            l2, h1 = grid_norms(_group_average(avg, i), ref, full=full_h1)
+            rows.append(ConvergenceRow(n=avg.n, group=i, l2_error=l2,
+                                       h1_error=h1,
+                                       center_value=avg.reduced.center,
+                                       reference_id=ref_id, m=m, seed=seed))
     return rows
 
 
@@ -230,14 +291,13 @@ def cauchy_diagnostics(example: str, centers: Sequence[int], window: int = 10,
     window//2] contribute ||avg_j - avg_{j-1}|| in L2 (epsilon) and H1
     (delta), averaged over the window. A group with no edges at any stage
     in a window is skipped for that center; a group present at some stages
-    but not others is a data error.
+    but not others is a data error. Every stage of every window comes from
+    one sweep over the edges.
     """
     if window < 2:
         raise InvalidArgumentError("window must cover at least 2 stages")
     centers = [int(n) for n in centers]
-    h_of = h if callable(h) else (lambda n: float(h))
-    ngroups = len(tuple(values))
-    rows = []
+    spans = []
     for n in centers:
         lo = n - window // 2 + 1
         hi = n + window - window // 2
@@ -245,16 +305,14 @@ def cauchy_diagnostics(example: str, centers: Sequence[int], window: int = 10,
             raise InvalidArgumentError(
                 f"window [{lo - 1}, {hi}] leaves stage {lo - 1} < 2; "
                 f"center n={n} is too small for window={window}")
-        avgs = {}
-        for j in range(lo - 1, hi + 1):
-            sol = solve_example_stage(example, j, m, coeff=coeff, seed=seed,
-                                      probs=probs, values=values,
-                                      parameters=parameters, h=h_of(j))
-            avgs[j] = [
-                cesaro_solution_average(sol, i + 1)
-                if sol.stage.group_mask(i + 1).any() else None
-                for i in range(ngroups)
-            ]
+        spans.append((n, lo, hi))
+    needed = sorted({j for _, lo, hi in spans for j in range(lo - 1, hi + 1)})
+    avgs = {a.n: a.averages for a in group_average_sweep(
+        example, needed, m, coeff=coeff, seed=seed, probs=probs,
+        values=values, parameters=parameters, h=h)}
+    ngroups = len(tuple(values))
+    rows = []
+    for n, lo, hi in spans:
         for i in range(ngroups):
             present = [avgs[j][i] is not None for j in range(lo - 1, hi + 1)]
             if not any(present):

@@ -2,10 +2,10 @@
 
 Configs are one key=value pair per line with '#' comment lines. Every
 output file starts with a comment carrying the normalized experiment config
-and the PRNG identifier, so a file is reproducible from its own header; how
-the run was executed (``threads``) is not part of it. Writes are atomic
-(temp file, then rename) and byte-identical across reruns of the same
-config unless the opt-in timestamp line is enabled.
+and the PRNG identifier, so a file is reproducible from its own header.
+Writes are atomic (temp file, then rename) and byte-identical across reruns
+of the same config unless the opt-in timestamp line is enabled. A request
+whose arrays would exceed MAX_ARRAY_VALUES is refused before it runs.
 
 Exit codes: 0 success, 2 config or argument problems, 3 numerical
 failures, 4 I/O failures.
@@ -63,7 +63,6 @@ class ExperimentConfig:
     errors: tuple = ()
     full_h1: bool = False
     timestamp: bool = False
-    threads: int = 1
 
     def h_of(self, n: int) -> float:
         return self.h_coeff * n if self.h_linear else self.h_coeff
@@ -176,7 +175,7 @@ def parse_config(text: str) -> ExperimentConfig:
             fields["stages"] = _int_list(raw, lineno)
         elif key == "centers":
             fields["centers"] = _int_list(raw, lineno)
-        elif key in ("n", "window", "mesh", "threads"):
+        elif key in ("n", "window", "mesh"):
             fields[key] = _int(raw, lineno)
         elif key == "seed":
             seed = _int(raw, lineno)
@@ -244,8 +243,6 @@ def _validate(config: ExperimentConfig):
         raise ConfigError("mesh must be >= 2 elements per edge")
     if config.window < 2:
         raise ConfigError("window must be >= 2")
-    if config.threads < 1:
-        raise ConfigError("threads must be >= 1")
     if config.n < 1:
         raise ConfigError("n must be >= 1")
     if len(config.probs) != len(config.values):
@@ -259,6 +256,33 @@ def _validate(config: ExperimentConfig):
     c, d = config.interval
     if not 0.0 <= c < d <= TWO_PI:
         raise ConfigError("interval must satisfy 0 <= c < d <= 2*pi")
+    size = _largest_array(config)
+    if size > MAX_ARRAY_VALUES:
+        raise ConfigError(
+            f"{config.emit} would allocate arrays of {size} values, more than "
+            f"the budget of {MAX_ARRAY_VALUES}; lower n, mesh, stages or "
+            f"centers")
+
+
+#: most float64 values one array of a run may hold (512 MiB); a run keeps
+#: a handful of arrays this size, so larger requests are refused up front
+MAX_ARRAY_VALUES = 2**26
+
+
+def _largest_array(config: ExperimentConfig) -> int:
+    """Values in the largest array the configured emit allocates."""
+    per_edge = 3 * config.mesh  # Gauss-point values of one edge
+    if config.emit in ("solution", "identity"):
+        return config.n * per_edge
+    if config.emit == "weyl":
+        return config.n
+    if config.emit == "table":
+        return max(max(config.stages, default=0), per_edge)
+    if config.emit == "cauchy":
+        return max(max(config.centers, default=0) + config.window, per_edge)
+    if config.emit == "upscaled":
+        return len(config.values) * per_edge
+    return len(config.errors)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -309,29 +333,12 @@ def _write_csv(config: ExperimentConfig, path: str, comments: list,
     return path
 
 
-def _prefetch(config: ExperimentConfig, stage_list):
-    """Warm the stage cache in parallel; results land in fixed order later."""
-    if config.threads < 2:
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    def one(n):
-        solve_example_stage(config.example, n, config.mesh,
-                            coeff=config.coeff, seed=config.seed,
-                            probs=config.probs, values=config.values,
-                            parameters=config.parameters(), h=config.h_of(n))
-
-    with ThreadPoolExecutor(max_workers=config.threads) as pool:
-        list(pool.map(one, stage_list))
-
-
 def _stage_kwargs(config: ExperimentConfig) -> dict:
     return dict(coeff=config.coeff, seed=config.seed, probs=config.probs,
                 values=config.values, parameters=config.parameters())
 
 
 def _run_table(config: ExperimentConfig) -> str:
-    _prefetch(config, config.stages)
     rows = convergence_table(config.example, config.stages, config.mesh,
                              config.reference, h=config.h_of,
                              full_h1=config.full_h1, **_stage_kwargs(config))
@@ -343,10 +350,6 @@ def _run_table(config: ExperimentConfig) -> str:
 
 
 def _run_cauchy(config: ExperimentConfig) -> str:
-    half = config.window // 2
-    needed = sorted({j for n in config.centers
-                     for j in range(n - half, n + config.window - half + 1)})
-    _prefetch(config, needed)
     rows = cauchy_diagnostics(config.example, config.centers, config.window,
                               config.mesh, h=config.h_of,
                               full_h1=config.full_h1, **_stage_kwargs(config))
@@ -461,7 +464,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output file path")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--mesh", type=int, help="override elements per edge")
-        p.add_argument("--threads", type=int, help="solver worker threads")
         p.add_argument("--timestamp", action="store_true",
                        help="add a generation timestamp comment")
         if name in ("solve", "identity", "weyl"):
@@ -491,8 +493,6 @@ def _config_from_args(args) -> ExperimentConfig:
         updates["seed"] = args.seed
     if args.mesh is not None:
         updates["mesh"] = args.mesh
-    if args.threads is not None:
-        updates["threads"] = args.threads
     if args.timestamp:
         updates["timestamp"] = True
     if getattr(args, "n", None) is not None:

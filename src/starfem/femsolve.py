@@ -12,6 +12,12 @@ by all edges, no pivot array is formed, and the border reduces to the
 Schur scalar, which is exactly sum(K). A downward sweep with the same row
 then recovers the interior values. Cost is O(n m), no fill-in, no
 tolerance knobs; a componentwise backward-error gate certifies each solve.
+
+Edges of one coefficient group share K, so by linearity their average is
+the solution of a smaller arrowhead system with one edge per group,
+coefficient n_i K_i and the group's load sum (``assemble_reduced``, with
+loads from ``group_load_sums``). It goes through the same ``solve`` and
+gate; tables and Cauchy windows use it, the full system the other emits.
 """
 from __future__ import annotations
 
@@ -22,7 +28,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NumericalBreakdownError
 from .forcing import GAUSS3_W, GAUSS3_X, ForcingField, GridFunction, builtin_field
-from .stargraph import StarStage, build_stage
+from .stargraph import StarStage, build_stage, group_star
 
 
 @dataclass(frozen=True)
@@ -131,21 +137,20 @@ def _hat_loads(F: np.ndarray, m: int) -> np.ndarray:
     return loads
 
 
-def assemble_loads(field: ForcingField, stage: StarStage, m: int) -> np.ndarray:
-    """Nodal load vector per edge, 3-point Gauss per element, shape (n, m+1).
+def _load_terms(field: ForcingField, ells: np.ndarray, m: int):
+    """Loads of edges ``ells`` as (rows, which, A, c, unit).
 
-    Includes the center (column 0) and rim (column m) rows even though the
-    rim is not an unknown; the identity checks integrate against them.
-
-    A sine family A sin(b t) + c is linear in its per-edge scalars, so its
-    loads are A H(b) + c H(1) from one hat-load row per distinct frequency
-    b and one for the constant; any other field is evaluated edge by edge.
+    Edge ells[j] carries A[j] rows[which[j]] + c[j] unit. A sine family
+    A sin(b t) + c is linear in its per-edge scalars, so ``rows`` holds one
+    hat-load row per distinct frequency b and ``unit`` the hat loads of 1;
+    any other field is evaluated edge by edge (one row each, A = 1, c = 0,
+    ``unit`` None).
     """
     tq = ((np.arange(m)[:, None] + GAUSS3_X[None, :]) / m).ravel()
-    ells = np.arange(1, stage.n + 1)
     if field.sine_coeffs is None:
-        F = field.values(ells, tq).reshape(stage.n, m, 3)
-        return _hat_loads(F, m)
+        F = field.values(ells, tq).reshape(len(ells), m, 3)
+        return (_hat_loads(F, m), np.arange(len(ells)), np.ones(len(ells)),
+                None, None)
     ells = field._edges(ells)
     A, b, c = (np.broadcast_to(np.asarray(v, dtype=float), ells.shape)
                for v in field.sine_coeffs(ells))
@@ -154,19 +159,50 @@ def assemble_loads(field: ForcingField, stage: StarStage, m: int) -> np.ndarray:
     freqs, which = np.unique(b, return_inverse=True)
     rows = freqs[:, None] * tq[None, :]
     np.sin(rows, out=rows)
-    loads = _hat_loads(rows.reshape(-1, m, 3), m)[which]
+    return (_hat_loads(rows.reshape(-1, m, 3), m), which.ravel(), A, c,
+            _hat_loads(np.ones((1, m, 3)), m)[0])
+
+
+def assemble_loads(field: ForcingField, stage: StarStage, m: int) -> np.ndarray:
+    """Nodal load vector per edge, 3-point Gauss per element, shape (n, m+1).
+
+    Includes the center (column 0) and rim (column m) rows even though the
+    rim is not an unknown; the identity checks integrate against them.
+    A sine family's loads are A H(b) + c H(1) from one hat-load row per
+    distinct frequency b; any other field is evaluated edge by edge.
+    """
+    rows, which, A, c, unit = _load_terms(field, np.arange(1, stage.n + 1), m)
+    if unit is None:
+        return rows
+    loads = rows[which]
     loads *= A[:, None]
-    loads += c[:, None] * _hat_loads(np.ones((1, m, 3)), m)
+    loads += c[:, None] * unit
     return loads
 
 
-def assemble(stage: StarStage, field: ForcingField, h: float,
-             m: int) -> ArrowheadSystem:
-    """Assemble the stage system for center datum h on m elements per edge."""
-    if m < 2:
-        raise InvalidArgumentError("need m >= 2 elements per edge")
+def group_load_sums(field: ForcingField, ells: np.ndarray, group_index,
+                    groups: int, m: int) -> np.ndarray:
+    """Sum of the load vectors of edges ``ells`` per group, shape (groups, m+1).
+
+    ``group_index[j]`` is the 0-based group of edge ells[j]. The per-edge
+    scalars A and c are summed per (group, hat-load row) first, so a sine
+    family with few frequencies costs O(len(ells)) and never forms a load
+    vector per edge.
+    """
+    rows, which, A, c, unit = _load_terms(field, ells, m)
+    k = rows.shape[0]
+    weights = np.bincount(np.asarray(group_index) * k + which, weights=A,
+                          minlength=groups * k).reshape(groups, k)
+    sums = weights @ rows
+    if unit is not None:
+        c_sums = np.bincount(group_index, weights=c, minlength=groups)
+        sums += c_sums[:, None] * unit
+    return sums
+
+
+def _arrowhead(stage: StarStage, loads: np.ndarray, h: float, m: int,
+               field: Optional[ForcingField]) -> ArrowheadSystem:
     km = stage.coeffs * m
-    loads = assemble_loads(field, stage, m)
     return ArrowheadSystem(
         stage=stage,
         m=m,
@@ -179,6 +215,36 @@ def assemble(stage: StarStage, field: ForcingField, h: float,
         node_loads=loads,
         field=field,
     )
+
+
+def assemble(stage: StarStage, field: ForcingField, h: float,
+             m: int) -> ArrowheadSystem:
+    """Assemble the stage system for center datum h on m elements per edge."""
+    if m < 2:
+        raise InvalidArgumentError("need m >= 2 elements per edge")
+    return _arrowhead(stage, assemble_loads(field, stage, m), h, m, field)
+
+
+def assemble_reduced(counts, group_values, load_sums: np.ndarray, h: float,
+                     m: int) -> ArrowheadSystem:
+    """The group-reduced system of a stage: one edge per non-empty group.
+
+    All edges of group i share K_i, so the sum of their edge equations is
+    the equation of one edge with coefficient n_i K_i and the group's load
+    sum, coupled to the same center row; its Schur scalar is still sum(K).
+    The solution on that edge is therefore exactly the group average, and
+    the center value is the stage's. ``counts`` are the group sizes n_i and
+    ``load_sums`` the (groups, m+1) load sums (``group_load_sums``); rows
+    of empty groups are dropped, so row r of the solution is the r-th
+    non-empty group. The edge coefficients are weights, not diffusion
+    values, so the system carries no field.
+    """
+    if m < 2:
+        raise InvalidArgumentError("need m >= 2 elements per edge")
+    counts = np.asarray(counts)
+    keep = counts > 0
+    stage = group_star(counts[keep] * np.asarray(group_values, dtype=float)[keep])
+    return _arrowhead(stage, load_sums[keep], h, m, None)
 
 
 def solve(system: ArrowheadSystem) -> StageSolution:

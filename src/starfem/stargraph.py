@@ -92,6 +92,33 @@ def coefficient_random(
     return np.asarray(values, dtype=float)[idx]
 
 
+def _group_of(coeffs: np.ndarray, group_values) -> np.ndarray:
+    """1-based group of each coefficient: the last group with its value."""
+    values = np.asarray(group_values, dtype=float)
+    # a stable sort keeps equal values in index order, so the rightmost
+    # match is the last group carrying that value
+    order = np.argsort(values, kind="stable")
+    pos = np.searchsorted(values[order], coeffs, side="right") - 1
+    if np.any(pos < 0) or not np.array_equal(values[order][pos], coeffs):
+        raise InvalidArgumentError("a coefficient matches no group value")
+    return order[pos] + 1
+
+
+def group_star(coeffs) -> StarStage:
+    """A star with one edge per group, edge i carrying coeffs[i].
+
+    The limit problem and a stage's group-reduced system both live on such
+    a star: every edge is its own group and its coefficient is a group
+    weight (s_i K_i, or n_i K_i), so it may have a single edge.
+    """
+    coeffs = np.array(coeffs, dtype=float)
+    g = coeffs.size
+    return StarStage(n=g, angles=vertex_angles(g), coeffs=coeffs,
+                     group_of=np.arange(1, g + 1),
+                     group_values=tuple(coeffs.tolist()),
+                     c_K=float(coeffs.min()))
+
+
 def build_stage(
     n: int,
     source: str = "deterministic",
@@ -112,7 +139,8 @@ def build_stage(
         raise InvalidArgumentError("build_stage requires n >= 2")
     if source == "deterministic":
         ell = np.arange(1, n + 1)
-        coeff_arr = np.where(ell % 3 == 0, values[0], values[1]).astype(float)
+        coeff_arr = np.where(ell % 3 == 0, values[0],
+                             values[1]).astype(float, copy=False)
         group_values = tuple(float(v) for v in values)
     elif source == "random":
         coeff_arr = coefficient_random(n, seed, probs, values)
@@ -126,15 +154,13 @@ def build_stage(
         group_values = tuple(sorted(set(coeff_arr.tolist())))
     else:
         raise InvalidArgumentError(f"unknown coefficient source {source!r}")
-    if np.any(coeff_arr <= 0):
+    if not np.all(coeff_arr > 0):
         raise InvalidArgumentError("diffusion coefficients must be positive")
-    lookup = {v: i + 1 for i, v in enumerate(group_values)}
-    group_of = np.array([lookup[v] for v in coeff_arr.tolist()], dtype=int)
     return StarStage(
         n=n,
         angles=vertex_angles(n),
         coeffs=coeff_arr,
-        group_of=group_of,
+        group_of=_group_of(coeff_arr, group_values),
         group_values=group_values,
         c_K=float(coeff_arr.min()),
     )

@@ -18,7 +18,7 @@ from .errors import InvalidArgumentError
 from .femsolve import StageSolution, solve_stage
 from .forcing import (GridFunction, ForcingField, manufactured_exact,
                       manufactured_profile, profile_moment)
-from .stargraph import GROUP_PROBS, GROUP_VALUES, StarStage, vertex_angles
+from .stargraph import GROUP_PROBS, GROUP_VALUES, group_star
 
 PI = np.pi
 
@@ -103,11 +103,7 @@ def solve_upscaled(problem: UpscaledProblem, m: int) -> HomogenizedSolution:
     if m < 2:
         raise InvalidArgumentError("need m >= 2 elements per edge")
     I = problem.groups
-    coeffs = np.array([problem.s[i] * problem.K[i] for i in range(I)])
-    coeffs.flags.writeable = False
-    stage = StarStage(n=I, angles=vertex_angles(I), coeffs=coeffs,
-                      group_of=np.arange(1, I + 1),
-                      group_values=tuple(coeffs.tolist()), c_K=float(coeffs.min()))
+    stage = group_star([problem.s[i] * problem.K[i] for i in range(I)])
     sol = solve_stage(stage, _upscaled_field(problem), problem.hbar, m)
     grids = tuple(GridFunction(m=m, values=sol.values[i]) for i in range(I))
     return HomogenizedSolution(problem=problem, m=m, center=sol.center,

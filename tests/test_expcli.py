@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,13 +127,6 @@ class TestRun:
         run(parse_config(BASE + f"out={out2}"))
         assert _read(out1) == _read(out2)
 
-    def test_threaded_run_matches_serial(self, tmp_path):
-        serial, threaded = str(tmp_path / "s.csv"), str(tmp_path / "p.csv")
-        run(parse_config(BASE + f"out={serial}"))
-        run(parse_config(BASE + f"threads=4\nout={threaded}"))
-        # the header names the experiment, not how it ran
-        assert _read(serial) == _read(threaded)
-
     def test_timestamp_adds_a_comment(self, tmp_path):
         out = str(tmp_path / "t.csv")
         run(parse_config(BASE + f"timestamp=true\nout={out}"))
@@ -254,6 +248,45 @@ class TestMain:
         out = tmp_path / "t.csv"
         assert main(["table", "--config", str(cfg), "--out", str(out)]) == 2
         assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_threads_is_not_a_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE + "threads=2\n")
+        out = tmp_path / "t.csv"
+        assert main(["table", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "unknown key 'threads'" in capsys.readouterr().err
+        assert not out.exists()
+        cfg.write_text(BASE)
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--config", str(cfg), "--threads", "2"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv,config", [
+        (["weyl", "--n", str(10**12)], None),
+        (["solve", "--n", str(10**12)], "example=ex1\nmesh=8\n"),
+        (["identity"], f"example=ex1\nn={10**12}\n"),
+        (["table", "--mesh", str(10**12)], "example=ex3\n"),
+        (["table"], f"example=ex3\nstages=10,{10**12}\n"),
+        (["cauchy"], f"example=ex5\ncenters={10**12}\n"),
+        (["upscaled"], f"example=ex3\nmesh={10**12}\n"),
+    ])
+    def test_oversized_request_refused_before_allocating(
+            self, tmp_path, capsys, argv, config):
+        out = tmp_path / "big.csv"
+        if config is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(config)
+            argv = argv + ["--config", str(cfg)]
+        tracemalloc.start()
+        try:
+            code = main(argv + ["--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "budget" in capsys.readouterr().err
+        assert peak < 2**20
         assert not out.exists()
 
     def test_unwritable_path_exit_code(self, tmp_path, capsys):

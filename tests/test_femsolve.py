@@ -31,6 +31,7 @@ from starfem import (
     solve,
     solve_stage,
 )
+from starfem.femsolve import group_load_sums
 
 PI = np.pi
 
@@ -113,6 +114,24 @@ class TestFactorizedLoads:
             ref = assemble_loads(per_edge, stage, m)
             assert fast.shape == ref.shape == (40, m + 1)
             assert np.max(np.abs(fast - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("family,params", [
+        ("ex3", {"orientation": "rim"}),
+        ("ex5", {}),
+        ("manufactured", {}),
+    ])
+    def test_group_load_sums_match_assembled_loads(self, family, params):
+        stage = build_stage(60, source="random", seed=5,
+                            probs=(0.2, 0.3, 0.5), values=(1.0, 2.0, 3.0))
+        field = builtin_field(family, params)
+        loads = assemble_loads(field, stage, 13)
+        ref = np.array([loads[stage.group_mask(i)].sum(axis=0)
+                        for i in (1, 2, 3)])
+        # two blocks of edges summed separately, as a sweep would
+        sums = sum(group_load_sums(field, np.arange(lo + 1, hi + 1),
+                                   stage.group_of[lo:hi] - 1, 3, 13)
+                   for lo, hi in ((0, 23), (23, 60)))
+        assert np.max(np.abs(sums - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_edge_range_checked_like_the_per_edge_path(self):
         with pytest.raises(InvalidArgumentError):

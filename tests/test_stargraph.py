@@ -130,6 +130,34 @@ def test_equal_group_values_collapse_to_one_group():
     assert stage.group_mask(2).all()
 
 
+def _dict_group_of(stage):
+    # the per-edge rule: a value maps to the last group carrying it
+    lookup = {v: i + 1 for i, v in enumerate(stage.group_values)}
+    return np.array([lookup[v] for v in stage.coeffs.tolist()])
+
+
+@pytest.mark.parametrize("source,kwargs", [
+    ("deterministic", {}),
+    ("deterministic", {"values": (3.0, 0.5)}),
+    ("random", {"seed": 7}),
+    ("random", {"seed": 1, "probs": (0.2, 0.5, 0.3),
+                "values": (1.0, 4.0, 2.5)}),
+    ("explicit", {"coeffs": [3.0, 1.0, 3.0, 0.5, 7.25, 1.0] * 50}),
+    ("deterministic", {"values": (1.0, 1.0)}),
+    ("random", {"seed": 3, "probs": (0.25, 0.25, 0.5),
+                "values": (2.0, 1.0, 2.0)}),
+])
+def test_group_of_follows_the_per_edge_rule(source, kwargs):
+    n = len(kwargs["coeffs"]) if source == "explicit" else 300
+    stage = build_stage(n, source=source, **kwargs)
+    assert np.array_equal(stage.group_of, _dict_group_of(stage))
+
+
+def test_nan_group_value_is_rejected():
+    with pytest.raises(InvalidArgumentError):
+        build_stage(6, values=(float("nan"), 2.0))
+
+
 def test_group_mask_rejects_out_of_range_group():
     stage = build_stage(6)
     with pytest.raises(InvalidArgumentError):
