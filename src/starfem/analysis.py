@@ -4,10 +4,14 @@ Everything here consumes stage solutions and produces plain numbers or
 rows, so the experiment runner can stay a thin formatting layer. Tables
 and Cauchy windows read only group averages and the center value, which
 the group-reduced system of a stage gives exactly (``assemble_reduced``):
-``group_average_sweep`` walks the edges once, in increasing n, adds each
-block's loads to running group sums, and solves one reduced system per
-requested stage. The full n-edge solve (``solve_example_stage``) serves
-the single-stage emits and is the reference the sweep is tested against.
+``group_average_sweep`` walks the edges once, in increasing n and in
+blocks, with one load pass per block in which each edge is keyed by its
+segment (the first requested stage that contains it) and its group. A
+cumsum over the segments gives every stage's group sums; stages go in
+chunks so those stacked sums stay bounded, and one reduced system is
+solved per requested stage. The full n-edge solve
+(``solve_example_stage``) serves the single-stage emits and is the
+reference the sweep is tested against.
 """
 from __future__ import annotations
 
@@ -158,7 +162,8 @@ class StageAverages:
     reduced: StageSolution
 
 
-#: float64 values of Gauss-point work per block of edges in a sweep
+#: float64 values per block of edges (Gauss-point work) and per chunk of
+#: stages (stacked group load sums) in a sweep
 SWEEP_BLOCK_VALUES = 1 << 20
 
 
@@ -169,14 +174,21 @@ def group_average_sweep(example: str, stages: Sequence[int], m: int, *,
     """Yield a StageAverages for each of the strictly increasing stages.
 
     The coefficients come from one ``build_stage`` at the largest stage
-    (both sources are prefix-stable in n). The edges are walked once, in
-    increasing index and in blocks of SWEEP_BLOCK_VALUES // (3 m) edges,
-    adding each block's loads to running per-group sums; at every
-    requested n the g-edge reduced system is assembled from those sums and
-    solved by ``solve``, so its backward-error gate certifies each stage.
-    Memory is O(block m) plus the coefficient arrays. ``ex2`` redraws its
-    noise for each stage size, so its walk restarts from edge 1 per stage.
-    ``h`` is a number or a function of n.
+    (both sources are prefix-stable in n). The stages are taken in chunks
+    of S, with S g (m+1) <= SWEEP_BLOCK_VALUES for g groups. Within a
+    chunk the edges are walked once, in increasing index and in blocks of
+    SWEEP_BLOCK_VALUES // (3 m) edges, with one ``group_load_sums`` call
+    per block: edge l is keyed by segment g + group, where its segment
+    (``searchsorted(stages, l)``) is the first stage of the chunk that
+    contains it, counted from the block's first segment so each call
+    covers only the segments its block spans. One cumsum over the
+    segments then gives every stage's group sums, on top of those carried
+    from the chunk before. At every stage the g-edge reduced system is
+    assembled from those sums and solved by ``solve``, so its
+    backward-error gate certifies each stage.
+    Memory is O(SWEEP_BLOCK_VALUES) plus the coefficient arrays. ``ex2``
+    redraws its noise for each stage size, so its walk restarts from edge
+    1 per stage. ``h`` is a number or a function of n.
     """
     stages = [int(n) for n in stages]
     if any(b <= a for a, b in zip(stages, stages[1:])):
@@ -190,35 +202,46 @@ def group_average_sweep(example: str, stages: Sequence[int], m: int, *,
     h_of = h if callable(h) else (lambda n: float(h))
     star = build_stage(stages[-1], source=coeff, seed=seed, probs=probs,
                        values=values)
-    ngroups = len(star.group_values)
+    g = len(star.group_values)
     block = max(1, SWEEP_BLOCK_VALUES // (3 * m))
+    chunk = max(1, SWEEP_BLOCK_VALUES // (g * (m + 1)))
     restart = example == "ex2" and "n_edges" not in (parameters or {})
-    sums = np.zeros((ngroups, m + 1))
-    counts = np.zeros(ngroups, dtype=np.int64)
-    field = None
-    for n in stages:
-        if field is None or restart:
-            field = builtin_field(
-                example, _stage_parameters(example, n, parameters), seed=seed)
-            sums[:] = 0.0
-            counts[:] = 0
-            done = 0
-        while done < n:
-            hi = min(done + block, n)
-            which = star.group_of[done:hi] - 1
-            sums += group_load_sums(field, np.arange(done + 1, hi + 1), which,
-                                    ngroups, m)
-            counts += np.bincount(which, minlength=ngroups)
-            done = hi
-        try:
-            reduced = solve(assemble_reduced(counts, star.group_values, sums,
-                                             h_of(n), m))
-        except NumericalBreakdownError as exc:
-            raise NumericalBreakdownError(f"stage n={n}: {exc}") from exc
-        rows = iter(reduced.values)
-        averages = tuple(GridFunction(m=m, values=next(rows)) if k else None
-                         for k in counts)
-        yield StageAverages(n=n, averages=averages, reduced=reduced)
+    for walk in ([[n] for n in stages] if restart else [stages]):
+        field = builtin_field(
+            example, _stage_parameters(example, walk[0], parameters),
+            seed=seed)
+        sums = np.zeros((1, g, m + 1))
+        counts = np.zeros((1, g), dtype=np.int64)
+        done = 0
+        for lo in range(0, len(walk), chunk):
+            part = walk[lo:lo + chunk]
+            ends = np.array(part)
+            nkeys = len(part) * g
+            seg_sums = np.zeros((nkeys, m + 1))
+            seg_counts = np.zeros(nkeys, dtype=np.int64)
+            for start in range(done, part[-1], block):
+                ells = np.arange(start + 1, min(start + block, part[-1]) + 1)
+                # keys relative to the block's own segments [first, last]
+                seg = np.searchsorted(ends, ells)
+                span = slice(seg[0] * g, (seg[-1] + 1) * g)
+                key = (seg - seg[0]) * g + star.group_of[start:ells[-1]] - 1
+                width = span.stop - span.start
+                seg_sums[span] += group_load_sums(field, ells, key, width, m)
+                seg_counts[span] += np.bincount(key, minlength=width)
+            done = part[-1]
+            sums = sums[-1] + np.cumsum(seg_sums.reshape(-1, g, m + 1), axis=0)
+            counts = counts[-1] + np.cumsum(seg_counts.reshape(-1, g), axis=0)
+            for n, n_sums, n_counts in zip(part, sums, counts):
+                try:
+                    reduced = solve(assemble_reduced(
+                        n_counts, star.group_values, n_sums, h_of(n), m))
+                except NumericalBreakdownError as exc:
+                    raise NumericalBreakdownError(
+                        f"stage n={n}: {exc}") from exc
+                rows = iter(reduced.values)
+                averages = tuple(GridFunction(m=m, values=next(rows))
+                                 if k else None for k in n_counts)
+                yield StageAverages(n=n, averages=averages, reduced=reduced)
 
 
 def reference_grids(example: str, reference, m: int, *,

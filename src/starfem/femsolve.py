@@ -1,17 +1,18 @@
-"""P1 finite elements on a star graph, solved by structured elimination.
+"""P1 finite elements on a star graph, solved in closed form.
 
 Each edge carries m uniform elements on [0,1] with the rim value fixed at
 zero, so its unknowns are the m-1 interior nodes; all edges share the one
 center unknown. The stiffness matrix is an arrowhead: per-edge tridiagonal
 blocks bordered by a single row and column for the center. Every block is
 the uniform P1 block K m (2, -1), so it is stored as one scalar per edge
-(``block_diag`` is a read-only broadcast view of 2 K m). Elimination runs
-bottom-up inside each edge (rim toward center) with pivots K m delta_k,
-where delta_k depends on the node alone: one row of multipliers is shared
-by all edges, no pivot array is formed, and the border reduces to the
-Schur scalar, which is exactly sum(K). A downward sweep with the same row
-then recovers the interior values. Cost is O(n m), no fill-in, no
-tolerance knobs; a componentwise backward-error gate certifies each solve.
+(``block_diag`` is a read-only broadcast view of 2 K m), and elimination
+has a closed form. The center value comes first, from the Schur scalar
+sum(K) and the rim-weighted load sums, so the discrete center identity is
+exact; with the center fixed every edge is a Dirichlet problem solved by
+two cumsums along the edge. Cost is O(n m), no Python loop over nodes or
+edges, no tolerance knobs; a componentwise backward-error gate certifies
+each solve, and one refinement step of the interior runs only when the
+gate fails.
 
 Edges of one coefficient group share K, so by linearity their average is
 the solution of a smaller arrowhead system with one edge per group,
@@ -40,9 +41,9 @@ class ArrowheadSystem:
     which also couples the first interior node to the center. Cross-edge
     coupling exists only through the center row. As assembled,
     ``block_diag`` is a read-only broadcast view of -2 ``block_off``.
-    ``solve`` eliminates from ``block_off`` alone (one pivot row shared by
-    all edges, Schur scalar sum(K)); its backward-error gate, which reads
-    ``block_diag``, rejects a system whose blocks are not of that form.
+    ``solve`` works from ``block_off`` alone (closed form, Schur scalar
+    sum(K)); its backward-error gate, which reads ``block_diag``, rejects
+    a system whose blocks are not of that form.
     """
 
     stage: StarStage
@@ -185,15 +186,21 @@ def group_load_sums(field: ForcingField, ells: np.ndarray, group_index,
     """Sum of the load vectors of edges ``ells`` per group, shape (groups, m+1).
 
     ``group_index[j]`` is the 0-based group of edge ells[j]. The per-edge
-    scalars A and c are summed per (group, hat-load row) first, so a sine
-    family with few frequencies costs O(len(ells)) and never forms a load
-    vector per edge.
+    scalars A and c are summed per (group, hat-load row) pair that occurs,
+    so a sine family with few frequencies never forms a load vector per
+    edge, and the work stays O(len(ells) m) however many groups there are.
     """
     rows, which, A, c, unit = _load_terms(field, ells, m)
     k = rows.shape[0]
-    weights = np.bincount(np.asarray(group_index) * k + which, weights=A,
-                          minlength=groups * k).reshape(groups, k)
-    sums = weights @ rows
+    group_index = np.asarray(group_index)
+    pairs, slot = np.unique(group_index * k + which, return_inverse=True)
+    weights = np.bincount(slot.ravel(), weights=A, minlength=pairs.size)
+    # pairs are sorted, so the rows of one group are contiguous
+    group = pairs // k
+    starts = np.flatnonzero(np.diff(group, prepend=-1))
+    sums = np.zeros((groups, m + 1))
+    sums[group[starts]] = np.add.reduceat(rows[pairs % k] * weights[:, None],
+                                          starts, axis=0)
     if unit is not None:
         c_sums = np.bincount(group_index, weights=c, minlength=groups)
         sums += c_sums[:, None] * unit
@@ -247,12 +254,41 @@ def assemble_reduced(counts, group_values, load_sums: np.ndarray, h: float,
     return _arrowhead(stage, load_sums[keep], h, m, None)
 
 
-def solve(system: ArrowheadSystem) -> StageSolution:
-    """Direct elimination of an arrowhead system.
+def _tail_sums(r: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
+    """out[:, k] = sum_{i >= k} w_i r[:, i], the rim-to-center elimination."""
+    np.multiply(r, w, out=out)
+    rev = out[:, ::-1]
+    np.cumsum(rev, axis=1, out=rev)
 
-    Every block is the uniform P1 block K m (2, -1), so bottom-up
-    elimination has the pivots K m delta_k, delta_k = (q-k+1)/(q-k) with
-    q = m-1 interior nodes, and one row of multipliers serves every edge.
+
+def _edge_values(z: np.ndarray, km: np.ndarray, w: np.ndarray,
+                 center: float) -> None:
+    """Interior values of every edge with the center value fixed, in place.
+
+    ``z`` holds the tail sums; it becomes u_k = w_k (center/m +
+    sum_{i <= k} z_i / (K m w_i (w_i + 1))).
+    """
+    z *= 1.0 / (w * (w + 1.0))
+    z /= km[:, None]
+    z[:, 0] += center / (w.size + 1)
+    np.cumsum(z, axis=1, out=z)
+    z *= w
+
+
+def solve(system: ArrowheadSystem) -> StageSolution:
+    """Closed-form solve of an arrowhead system.
+
+    Every block is the uniform P1 block K m (2, -1) on q = m-1 interior
+    nodes, so elimination has a closed form with weights w_k = q - k (the
+    distance of node k+1 from the rim). The center comes first:
+    center = (rhs_center + sum_e sum_k w_k r_{e,k} / m) / schur, with the
+    Schur scalar sum(K), which keeps the discrete center identity exact.
+    With the center fixed every edge is a Dirichlet problem solved by two
+    cumsums along the edge (``_tail_sums``, ``_edge_values``). Only if the
+    componentwise backward error then exceeds 1e-12 is one interior-only
+    refinement step taken: the residual from ``apply``, the same Dirichlet
+    cumsums with center 0, the correction added; the center is never
+    refined, so its identity stays exact. The gate then decides.
     Raises numerical-breakdown if some K m or the center Schur scalar fails
     to be positive and finite; the backward-error gate rejects a system
     whose blocks are not of that form.
@@ -262,31 +298,31 @@ def solve(system: ArrowheadSystem) -> StageSolution:
     km = -system.block_off
     if not (np.all(np.isfinite(km)) and np.all(km > 0)):
         raise NumericalBreakdownError("non-positive elimination pivot")
-    j = q - np.arange(q, dtype=float)
-    delta = (j + 1.0) / j
-    # node-major (q, n) layout, so each step of a sweep is one contiguous row
-    y = system.rhs_interior.T.copy()
-    for k in range(q - 2, -1, -1):
-        y[k] += y[k + 1] / delta[k + 1]
     # center_diag - sum(km) q/m, i.e. sum(K) for the assembled center row,
     # in a form with no cancellation when center_diag == sum(km)
     km_sum = float(km.sum())
     schur = system.center_diag - km_sum + km_sum / m
     if not (np.isfinite(schur) and schur > 0):
         raise NumericalBreakdownError("center Schur scalar not positive")
-    center = (system.rhs_center + float(y[0].sum()) / delta[0]) / schur
-    # downward sweep in place: u_k = (y_k / km + u_{k-1}) / delta_k
-    y /= km
-    y[0] += center
-    y[0] /= delta[0]
-    for k in range(1, q):
-        y[k] += y[k - 1]
-        y[k] /= delta[k]
-
+    w = q - np.arange(q, dtype=float)
+    # edge-major and in place in the solution: each cumsum runs along one
+    # edge's row, with no transposed copy in or out
     values = np.zeros((n, m + 1))
+    interior = values[:, 1:m]
+    _tail_sums(system.rhs_interior, w, interior)
+    center = (system.rhs_center + float(interior[:, 0].sum()) / m) / schur
     values[:, 0] = center
-    values[:, 1:m] = y.T
-    res = system.backward_error(center, values[:, 1:m])
+    _edge_values(interior, km, w, center)
+    res = system.backward_error(center, interior)
+    if not res <= 1e-12:
+        # one step of iterative refinement on the interior (Higham 2002,
+        # ch. 12): re-solve for the residual with the center held fixed
+        _, out = system.apply(center, interior)
+        np.subtract(system.rhs_interior, out, out=out)
+        _tail_sums(out, w, out)
+        _edge_values(out, km, w, 0.0)
+        interior += out
+        res = system.backward_error(center, interior)
     if not res <= 1e-12:
         raise NumericalBreakdownError(
             f"solve backward error {res:.3e} exceeds 1e-12")

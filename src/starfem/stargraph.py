@@ -24,22 +24,22 @@ GROUP_PROBS = (1.0 / 3.0, 2.0 / 3.0)
 
 @dataclass(frozen=True)
 class StarStage:
-    """Geometry and coefficients of one n-edge star.
+    """Coefficients of one n-edge star.
 
     ``group_of`` holds 1-based group indices; ``coeffs[l] ==
     group_values[group_of[l] - 1]`` for every edge. ``c_K`` is the recorded
-    uniform lower coefficient bound.
+    uniform lower coefficient bound. The edge directions are not stored:
+    no solve reads them, and ``vertex_angles(n)`` gives them on demand.
     """
 
     n: int
-    angles: np.ndarray
     coeffs: np.ndarray
     group_of: np.ndarray
     group_values: tuple[float, ...]
     c_K: float
 
     def __post_init__(self):
-        for name in ("angles", "coeffs", "group_of"):
+        for name in ("coeffs", "group_of"):
             getattr(self, name).flags.writeable = False
 
     def group_mask(self, i: int) -> np.ndarray:
@@ -113,7 +113,7 @@ def group_star(coeffs) -> StarStage:
     """
     coeffs = np.array(coeffs, dtype=float)
     g = coeffs.size
-    return StarStage(n=g, angles=vertex_angles(g), coeffs=coeffs,
+    return StarStage(n=g, coeffs=coeffs,
                      group_of=np.arange(1, g + 1),
                      group_values=tuple(coeffs.tolist()),
                      c_K=float(coeffs.min()))
@@ -138,9 +138,9 @@ def build_stage(
     if n < 2:
         raise InvalidArgumentError("build_stage requires n >= 2")
     if source == "deterministic":
-        ell = np.arange(1, n + 1)
-        coeff_arr = np.where(ell % 3 == 0, values[0],
-                             values[1]).astype(float, copy=False)
+        # edge l = 3, 6, 9, ... (index 2, 5, 8, ...) takes the first value
+        coeff_arr = np.full(n, float(values[1]))
+        coeff_arr[2::3] = values[0]
         group_values = tuple(float(v) for v in values)
     elif source == "random":
         coeff_arr = coefficient_random(n, seed, probs, values)
@@ -158,7 +158,6 @@ def build_stage(
         raise InvalidArgumentError("diffusion coefficients must be positive")
     return StarStage(
         n=n,
-        angles=vertex_angles(n),
         coeffs=coeff_arr,
         group_of=_group_of(coeff_arr, group_values),
         group_values=group_values,

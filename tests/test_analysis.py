@@ -29,6 +29,7 @@ from starfem import (
     weyl_cos_mean,
     weyl_fraction,
 )
+from starfem import analysis
 from starfem.analysis import group_average_sweep
 from starfem.expcli import main
 from starfem.femsolve import center_identity_residual
@@ -181,6 +182,42 @@ class TestGroupAverageSweep:
             # roundoff: normalized by the group-summed moments, which
             # cancel more than the per-edge ones of the full stage
             assert center_identity_residual(avg.reduced) <= 1e-12
+
+    @pytest.mark.parametrize("family,coeff", [("ex5", "random"),
+                                              ("ex2", "deterministic")])
+    def test_small_blocks_and_chunks_match_full_solve(self, family, coeff,
+                                                      monkeypatch):
+        # m = 12 and two groups: blocks of 5 edges, chunks of 6 stages, so
+        # one block spans several stages and the stages span three chunks
+        # (ex2 restarts per stage and walks each one in blocks)
+        monkeypatch.setattr(analysis, "SWEEP_BLOCK_VALUES", 180)
+        stages = (3, 4, 5, 6, 7, 9, 12, 13, 14, 20, 21, 22, 40, 41)
+        load_sums = analysis.group_load_sums
+        segments = []
+
+        def spy(field, ells, key, groups, m):
+            segments.append(np.unique(np.asarray(key) // 2).size)
+            return load_sums(field, ells, key, groups, m)
+
+        monkeypatch.setattr(analysis, "group_load_sums", spy)
+        m = 12
+        sweep = list(group_average_sweep(family, stages, m, coeff=coeff,
+                                         seed=5, h=0.3))
+        assert [a.n for a in sweep] == list(stages)
+        assert max(segments) >= (2 if family == "ex5" else 1)
+        for avg in sweep:
+            sol = solve_example_stage(family, avg.n, m, coeff=coeff, seed=5,
+                                      h=0.3)
+            refs = [cesaro_solution_average(sol, i) if sol.stage.group_mask(i)
+                    .any() else None for i in (1, 2)]
+            scale = max(np.max(np.abs(r.values)) for r in refs
+                        if r is not None)
+            for got, ref in zip(avg.averages, refs):
+                assert (got is None) == (ref is None)
+                if ref is not None:
+                    assert np.max(np.abs(got.values - ref.values)) \
+                        <= 1e-11 * scale
+            assert abs(avg.reduced.center - sol.center) <= 1e-11 * scale
 
     def test_empty_group_reads_none(self):
         # the deterministic rule has no group-1 edge before edge 3

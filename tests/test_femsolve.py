@@ -1,6 +1,7 @@
 """Stage assembly and the arrowhead solve, against dense references."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,9 +32,23 @@ from starfem import (
     solve,
     solve_stage,
 )
-from starfem.femsolve import group_load_sums
+from starfem import femsolve
+from starfem.femsolve import ArrowheadSystem, group_load_sums
 
 PI = np.pi
+
+
+def _record_gate(monkeypatch):
+    """List that receives every backward error the gate computes."""
+    gate = ArrowheadSystem.backward_error
+    verdicts = []
+
+    def spy(self, center, interior):
+        verdicts.append(gate(self, center, interior))
+        return verdicts[-1]
+
+    monkeypatch.setattr(ArrowheadSystem, "backward_error", spy)
+    return verdicts
 
 
 def _edge_profiles(field, n):
@@ -133,6 +148,24 @@ class TestFactorizedLoads:
                    for lo, hi in ((0, 23), (23, 60)))
         assert np.max(np.abs(sums - ref)) <= 1e-13 * np.max(np.abs(ref))
 
+    def test_many_groups_form_no_dense_pair_table(self):
+        # 500 edges with their own frequencies in 2000 groups: the full
+        # (group, row) table would hold 10^6 values, the pairs that occur
+        # only 500 rows of m+1
+        field = builtin_field("ex5")
+        ells = np.arange(1, 501)
+        key = 4 * np.arange(500)
+        ref = assemble_loads(field, build_stage(500), 10)
+        tracemalloc.start()
+        try:
+            sums = group_load_sums(field, ells, key, 2000, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert np.array_equal(np.flatnonzero(sums.any(axis=1)), key)
+        assert np.max(np.abs(sums[key] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
     def test_edge_range_checked_like_the_per_edge_path(self):
         with pytest.raises(InvalidArgumentError):
             assemble_loads(builtin_field("ex2", {"n_edges": 5}),
@@ -214,9 +247,10 @@ class TestSolve:
         assert system.backward_error(sol.center, interior) <= 1e-13
         assert system.residual(sol.center, interior) <= 1e-10
 
-    def test_long_edges_pass_the_gate_without_refinement(self):
-        # the shared pivot row keeps the solve backward stable at m = 3e5,
-        # where the condition number is ~1e11
+    def test_long_edges_pass_the_gate(self):
+        # the condition number is ~1e11 at m = 3e5; the closed form passes
+        # the gate here on its own, and would take one refinement step if
+        # it did not
         stage = build_stage(2)
         field = builtin_field("ex1")
         m = 300_000
@@ -224,6 +258,55 @@ class TestSolve:
         sol = solve(system)
         assert system.backward_error(sol.center, sol.values[:, 1:m]) <= 1e-12
         assert center_identity_residual(sol) <= 1e-13
+
+    def test_refinement_recovers_a_perturbed_solve(self, monkeypatch):
+        # the closed form passes the gate at m = 1e6 on its own, so its
+        # first pass is perturbed (relative 1e-9, far above the gate): only
+        # a correct refinement step brings the solve back under 1e-12
+        stage = build_stage(2)
+        field = builtin_field("ex1")
+        m = 1_000_000
+        system = assemble(stage, field, 0.0, m)
+        edge_values = femsolve._edge_values
+        calls = []
+
+        def perturb_first(z, km, w, center):
+            edge_values(z, km, w, center)
+            if not calls:
+                noise = np.random.default_rng(0).standard_normal(z.shape)
+                z += 1e-9 * np.max(np.abs(z)) * noise
+            calls.append(center)
+
+        monkeypatch.setattr(femsolve, "_edge_values", perturb_first)
+        verdicts = _record_gate(monkeypatch)
+        sol = solve(system)
+        assert len(calls) == len(verdicts) == 2
+        assert calls[1] == 0.0  # the correction holds the center fixed
+        assert verdicts[0] > 1e-12 >= verdicts[1]
+        assert center_identity_residual(sol) <= 1e-13
+
+    def test_refinement_runs_only_when_the_gate_fails(self, monkeypatch):
+        verdicts = _record_gate(monkeypatch)
+        solve_stage(build_stage(30), builtin_field("ex5"), 0.4, 50)
+        assert len(verdicts) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(coeffs=st.lists(st.floats(0.1, 10.0), min_size=2, max_size=6),
+           m=st.integers(2, 64), h=st.floats(-10.0, 10.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_solve_on_random_data(self, coeffs, m, h, seed):
+        stage = build_stage(len(coeffs), source="explicit", coeffs=coeffs)
+        loads = np.random.default_rng(seed).standard_normal((len(coeffs),
+                                                            m + 1))
+        system = dataclasses.replace(
+            assemble(stage, builtin_field("constant"), h, m),
+            rhs_interior=loads[:, 1:m].copy(),
+            rhs_center=float(loads[:, 0].sum()) + h, node_loads=loads)
+        sol = solve(system)
+        c_ref, v_ref = dense_solve(stage.coeffs, loads, h)
+        scale = np.max(np.abs(v_ref))
+        assert abs(sol.center - c_ref) <= 1e-12 * scale
+        assert np.max(np.abs(sol.values - v_ref)) <= 1e-12 * scale
 
     def test_center_value_approaches_continuum_balance(self):
         stage = build_stage(5)
