@@ -4,6 +4,8 @@ All randomness is drawn from numpy's PCG64 keyed by SeedSequence tuples, so
 every result is reproducible bit for bit from (seed, stage). The generator
 name is echoed into output files next to the seed.
 """
+from __future__ import annotations
+
 import numpy as np
 
 PRNG_NAME = "numpy-pcg64"

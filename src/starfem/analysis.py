@@ -8,10 +8,11 @@ the group-reduced system of a stage gives exactly (``assemble_reduced``):
 blocks, with one load pass per block in which each edge is keyed by its
 segment (the first requested stage that contains it) and its group. A
 cumsum over the segments gives every stage's group sums; stages go in
-chunks so those stacked sums stay bounded, and one reduced system is
-solved per requested stage. The full n-edge solve
-(``solve_example_stage``) serves the single-stage emits and is the
-reference the sweep is tested against.
+chunks so those stacked sums stay bounded. The reduced systems of a chunk
+are solved as one stack per set of non-empty groups, and the norms of a
+table or of a set of Cauchy windows are taken for every (stage, group)
+at once. The full n-edge solve (``solve_example_stage``) serves the
+single-stage emits and is the reference the sweep is tested against.
 """
 from __future__ import annotations
 
@@ -25,7 +26,8 @@ from .errors import (EmptyGroupError, InvalidArgumentError,
 from .femsolve import (StageSolution, assemble_reduced, group_load_sums,
                        solve, solve_stage)
 from .forcing import GridFunction, builtin_field
-from .stargraph import GROUP_PROBS, GROUP_VALUES, TWO_PI, build_stage
+from .stargraph import (GROUP_PROBS, GROUP_VALUES, TWO_PI, build_stage,
+                        group_star)
 from .upscale import analytic_oracle, build_upscaled, solve_upscaled
 
 
@@ -88,21 +90,33 @@ def _simpson_weights(m: int) -> np.ndarray:
     return w
 
 
-def grid_norms(f: GridFunction, g: GridFunction, full: bool = False):
+def grid_norms(f, g, full: bool = False):
     """(L2, H1) size of f - g on the shared grid.
 
-    L2 integrates the squared nodal difference by composite Simpson. The
-    H1 figure is the seminorm (exact for the piecewise slopes); with
+    ``f`` and ``g`` are GridFunctions, or nodal values (..., m+1) whose
+    leading axes broadcast; the sizes are then arrays of the broadcast
+    leading shape, one per pair of grids, each as a single pair would give
+    it. L2 integrates the squared nodal difference by composite Simpson.
+    The H1 figure is the seminorm (exact for the piecewise slopes); with
     ``full`` it is the full norm sqrt(L2^2 + seminorm^2).
     """
-    if f.m != g.m:
-        raise InvalidArgumentError(f"grids disagree: m={f.m} vs m={g.m}")
-    d = f.values - g.values
-    l2 = float(np.sqrt(max(np.dot(_simpson_weights(f.m), d * d), 0.0)))
-    slopes = (d[1:] - d[:-1]) * f.m
-    h1 = float(np.sqrt(np.sum(slopes * slopes) / f.m))
+    f, g = (np.asarray(x.values if isinstance(x, GridFunction) else x,
+                       dtype=float) for x in (f, g))
+    m = f.shape[-1] - 1
+    if g.shape[-1] != m + 1:
+        raise InvalidArgumentError(
+            f"grids disagree: m={m} vs m={g.shape[-1] - 1}")
+    if m < 2:
+        raise InvalidArgumentError("grid needs m >= 2 elements")
+    d = f - g
+    # vecdot takes the same dot product per grid as a single pair would
+    l2 = np.sqrt(np.maximum(np.vecdot(d * d, _simpson_weights(m)), 0.0))
+    slopes = (d[..., 1:] - d[..., :-1]) * m
+    h1 = np.sqrt(np.sum(slopes * slopes, axis=-1) / m)
     if full:
-        h1 = float(np.hypot(l2, h1))
+        h1 = np.hypot(l2, h1)
+    if d.ndim == 1:
+        return float(l2), float(h1)
     return l2, h1
 
 
@@ -183,9 +197,10 @@ def group_average_sweep(example: str, stages: Sequence[int], m: int, *,
     contains it, counted from the block's first segment so each call
     covers only the segments its block spans. One cumsum over the
     segments then gives every stage's group sums, on top of those carried
-    from the chunk before. At every stage the g-edge reduced system is
-    assembled from those sums and solved by ``solve``, so its
-    backward-error gate certifies each stage.
+    from the chunk before. The chunk's stages that share their set of
+    non-empty groups are assembled into one stack of g-edge reduced
+    systems and solved by one ``solve`` call, whose backward-error gate
+    certifies each stage of the stack; a breakdown names the stage.
     Memory is O(SWEEP_BLOCK_VALUES) plus the coefficient arrays. ``ex2``
     redraws its noise for each stage size, so its walk restarts from edge
     1 per stage. ``h`` is a number or a function of n.
@@ -231,17 +246,46 @@ def group_average_sweep(example: str, stages: Sequence[int], m: int, *,
             done = part[-1]
             sums = sums[-1] + np.cumsum(seg_sums.reshape(-1, g, m + 1), axis=0)
             counts = counts[-1] + np.cumsum(seg_counts.reshape(-1, g), axis=0)
-            for n, n_sums, n_counts in zip(part, sums, counts):
-                try:
-                    reduced = solve(assemble_reduced(
-                        n_counts, star.group_values, n_sums, h_of(n), m))
-                except NumericalBreakdownError as exc:
-                    raise NumericalBreakdownError(
-                        f"stage n={n}: {exc}") from exc
-                rows = iter(reduced.values)
-                averages = tuple(GridFunction(m=m, values=next(rows))
-                                 if k else None for k in n_counts)
-                yield StageAverages(n=n, averages=averages, reduced=reduced)
+            yield from _stacked_averages(part, counts, star.group_values, sums,
+                                         [h_of(n) for n in part], m)
+
+
+def _stacked_averages(stages, counts, group_values, sums, h, m: int) -> list:
+    """StageAverages of a chunk of stages, from stacked reduced solves.
+
+    ``counts`` (S, g) and ``sums`` (S, g, m+1) are the group sizes and load
+    sums of the S stages, ``h`` their data. Stages that share their set of
+    non-empty groups form one stack, assembled and solved as one system
+    with leading axis; the gate certifies every stage of it. A breakdown
+    names the failing stages, or the stack's range of stages when no
+    single stage fails on its own.
+    """
+    group_values = np.asarray(group_values, dtype=float)
+    h = np.asarray(h, dtype=float)
+    patterns, which = np.unique(counts > 0, axis=0, return_inverse=True)
+    out = [None] * len(stages)
+    for p, keep in enumerate(patterns):
+        members = np.flatnonzero(which.ravel() == p)
+        weights = counts[members][:, keep] * group_values[keep]
+        try:
+            stack = solve(assemble_reduced(
+                weights, sums[np.ix_(members, keep)], h[members], m))
+        except NumericalBreakdownError as exc:
+            ns = [stages[members[i]] for i in exc.stages]
+            where = (f"stage n={', '.join(map(str, ns))}" if ns else
+                     f"stages n={stages[members[0]]}..{stages[members[-1]]}")
+            raise NumericalBreakdownError(f"{where}: {exc}") from exc
+        for j, s in enumerate(members):
+            reduced = StageSolution(
+                stage=group_star(weights[j]), m=m, h=float(h[s]),
+                center=float(stack.center[j]), values=stack.values[j],
+                node_loads=stack.node_loads[j])
+            rows = iter(reduced.values)
+            out[s] = StageAverages(
+                n=stages[s], reduced=reduced,
+                averages=tuple(GridFunction(m=m, values=next(rows))
+                               if k else None for k in keep))
+    return out
 
 
 def reference_grids(example: str, reference, m: int, *,
@@ -290,17 +334,26 @@ def convergence_table(example: str, stages: Sequence[int], m: int, reference,
     refs, ref_id = reference_grids(example, reference, m,
                                    parameters=parameters, probs=probs,
                                    values=values)
-    rows = []
+    for ref in refs:
+        if ref.m != m:
+            raise InvalidArgumentError(f"grids disagree: m={m} vs m={ref.m}")
+    sweep, grids = [], []
     for avg in group_average_sweep(example, stages, m, coeff=coeff,
                                    seed=seed, probs=probs, values=values,
                                    parameters=parameters, h=h):
-        for i, ref in enumerate(refs, start=1):
-            l2, h1 = grid_norms(_group_average(avg, i), ref, full=full_h1)
-            rows.append(ConvergenceRow(n=avg.n, group=i, l2_error=l2,
-                                       h1_error=h1,
-                                       center_value=avg.reduced.center,
-                                       reference_id=ref_id, m=m, seed=seed))
-    return rows
+        sweep.append(avg)
+        grids.append([_group_average(avg, i).values
+                      for i in range(1, len(refs) + 1)])
+    if not sweep or not refs:
+        return []
+    # every (stage, group) distance in one pass
+    l2, h1 = grid_norms(np.array(grids), np.array([r.values for r in refs]),
+                        full=full_h1)
+    return [ConvergenceRow(n=avg.n, group=i + 1, l2_error=float(l2[k, i]),
+                           h1_error=float(h1[k, i]),
+                           center_value=avg.reduced.center,
+                           reference_id=ref_id, m=m, seed=seed)
+            for k, avg in enumerate(sweep) for i in range(len(refs))]
 
 
 def cauchy_diagnostics(example: str, centers: Sequence[int], window: int = 10,
@@ -315,7 +368,8 @@ def cauchy_diagnostics(example: str, centers: Sequence[int], window: int = 10,
     (delta), averaged over the window. A group with no edges at any stage
     in a window is skipped for that center; a group present at some stages
     but not others is a data error. Every stage of every window comes from
-    one sweep over the edges.
+    one sweep over the edges, and every distance from one ``grid_norms``
+    call over the successive pairs of stages.
     """
     if window < 2:
         raise InvalidArgumentError("window must cover at least 2 stages")
@@ -330,27 +384,38 @@ def cauchy_diagnostics(example: str, centers: Sequence[int], window: int = 10,
                 f"center n={n} is too small for window={window}")
         spans.append((n, lo, hi))
     needed = sorted({j for _, lo, hi in spans for j in range(lo - 1, hi + 1)})
-    avgs = {a.n: a.averages for a in group_average_sweep(
+    sweep = list(group_average_sweep(
         example, needed, m, coeff=coeff, seed=seed, probs=probs,
-        values=values, parameters=parameters, h=h)}
+        values=values, parameters=parameters, h=h))
     ngroups = len(tuple(values))
+    present = np.array([[a is not None for a in avg.averages]
+                        for avg in sweep])
+    grids = np.zeros((len(needed), ngroups, m + 1))
+    for k, avg in enumerate(sweep):
+        grids[k, present[k]] = avg.reduced.values
+    # the distance between each needed stage and the one before it, every
+    # group in one pass; a window's stages are consecutive in ``needed``,
+    # so window c covers pairs first[c] .. first[c] + window - 1
+    l2, h1 = grid_norms(grids[1:], grids[:-1], full=full_h1)
+    pos = {n: k for k, n in enumerate(needed)}
+    first = np.array([pos[lo - 1] for _, lo, _ in spans])
+    pairs = first[:, None] + np.arange(window)
+    # cumsum adds each window's terms in order, as a running sum would
+    eps = np.cumsum(l2[pairs], axis=1)[:, -1] / window
+    delta = np.cumsum(h1[pairs], axis=1)[:, -1] / window
+    seen = present[first[:, None] + np.arange(window + 1)]
     rows = []
-    for n, lo, hi in spans:
+    for c, (n, _, _) in enumerate(spans):
         for i in range(ngroups):
-            present = [avgs[j][i] is not None for j in range(lo - 1, hi + 1)]
-            if not any(present):
+            if not seen[c, :, i].any():
                 continue
-            if not all(present):
+            if not seen[c, :, i].all():
                 raise EmptyGroupError(
                     f"group {i + 1} is empty at some but not all stages of "
                     f"the window around n={n}")
-            eps = delta = 0.0
-            for j in range(lo, hi + 1):
-                l2, h1 = grid_norms(avgs[j][i], avgs[j - 1][i], full=full_h1)
-                eps += l2
-                delta += h1
-            rows.append(CauchyRow(n=n, group=i + 1, epsilon=eps / window,
-                                  delta=delta / window, window=window))
+            rows.append(CauchyRow(n=n, group=i + 1,
+                                  epsilon=float(eps[c, i]),
+                                  delta=float(delta[c, i]), window=window))
     return rows
 
 

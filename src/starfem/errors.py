@@ -10,7 +10,15 @@ class InvalidArgumentError(StarFemError, ValueError):
 
 
 class NumericalBreakdownError(StarFemError, ArithmeticError):
-    """A pivot or Schur scalar lost positivity during elimination."""
+    """A pivot or Schur scalar lost positivity, or a solve failed its gate.
+
+    ``stages`` holds the flat indices of the failing systems of a stacked
+    solve, when they are known, and is empty otherwise.
+    """
+
+    def __init__(self, message: str, stages: tuple = ()):
+        self.stages = tuple(stages)
+        super().__init__(message)
 
 
 class EmptyGroupError(StarFemError, ValueError):

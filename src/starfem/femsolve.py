@@ -19,6 +19,10 @@ the solution of a smaller arrowhead system with one edge per group,
 coefficient n_i K_i and the group's load sum (``assemble_reduced``, with
 loads from ``group_load_sums``). It goes through the same ``solve`` and
 gate; tables and Cauchy windows use it, the full system the other emits.
+A system may carry leading axes that stack independent systems of one
+shape: ``solve``, ``apply`` and the gate work on the trailing axes, so
+many stages' reduced systems are assembled and solved in one pass, and
+the gate passes the stack only if every system in it passes.
 """
 from __future__ import annotations
 
@@ -44,62 +48,79 @@ class ArrowheadSystem:
     ``solve`` works from ``block_off`` alone (closed form, Schur scalar
     sum(K)); its backward-error gate, which reads ``block_diag``, rejects
     a system whose blocks are not of that form.
+
+    Leading axes stack independent systems of one shape: the edge arrays
+    are then (..., n, ·), ``h``, ``center_diag`` and ``rhs_center`` arrays
+    of the leading shape, and ``stage`` is None (each system has its own
+    coefficients). Every method works on the trailing axes.
     """
 
-    stage: StarStage
+    stage: Optional[StarStage]
     m: int
-    h: float
+    h: float | np.ndarray
     block_diag: np.ndarray
     block_off: np.ndarray
-    center_diag: float
+    center_diag: float | np.ndarray
     rhs_interior: np.ndarray
-    rhs_center: float
+    rhs_center: float | np.ndarray
     node_loads: np.ndarray
     field: Optional[ForcingField] = None
 
     @property
     def unknowns(self) -> int:
-        return self.stage.n * (self.m - 1) + 1
+        """Unknowns of one system of the stack."""
+        return self.rhs_interior.shape[-2] * (self.m - 1) + 1
 
-    def apply(self, center: float, interior: np.ndarray):
+    def apply(self, center, interior: np.ndarray):
         """Matrix-vector product, returned as (center row, interior rows)."""
-        off = self.block_off[:, None]
+        off = self.block_off[..., None]
         out = self.block_diag * interior
-        out[:, 1:] += off * interior[:, :-1]
-        out[:, :-1] += off * interior[:, 1:]
-        out[:, 0] += self.block_off * center
-        c = self.center_diag * center + float(np.dot(self.block_off, interior[:, 0]))
+        out[..., 1:] += off * interior[..., :-1]
+        out[..., :-1] += off * interior[..., 1:]
+        out[..., 0] += self.block_off * np.expand_dims(center, -1)
+        c = self.center_diag * center + np.sum(self.block_off * interior[..., 0],
+                                               axis=-1)
         return c, out
 
-    def residual(self, center: float, interior: np.ndarray) -> float:
-        """Max-norm residual of a candidate solution, relative to the rhs."""
-        c, out = self.apply(center, interior)
-        num = max(abs(c - self.rhs_center),
-                  float(np.max(np.abs(out - self.rhs_interior))))
-        den = max(abs(self.rhs_center), float(np.max(np.abs(self.rhs_interior))))
-        return num / max(den, 1.0)
+    def residual(self, center, interior: np.ndarray) -> float:
+        """Max-norm residual of a candidate solution, relative to the rhs.
 
-    def backward_error(self, center: float, interior: np.ndarray) -> float:
+        The largest over a stack.
+        """
+        c, out = self.apply(center, interior)
+        num = np.maximum(np.abs(c - self.rhs_center),
+                         np.max(np.abs(out - self.rhs_interior), axis=(-2, -1)))
+        den = np.maximum(np.abs(self.rhs_center),
+                         np.max(np.abs(self.rhs_interior), axis=(-2, -1)))
+        return float(np.max(num / np.maximum(den, 1.0)))
+
+    def backward_error(self, center, interior: np.ndarray) -> float:
         """Componentwise backward error max_i |Ax - b|_i / (|A||x| + |b|)_i.
 
         Scale-free: a correct elimination lands near machine epsilon no
-        matter how the data or the mesh scale the rows.
+        matter how the data or the mesh scale the rows. A stack's is the
+        largest of its systems' (``stage_backward_errors``).
         """
+        return float(np.max(self.stage_backward_errors(center, interior)))
+
+    def stage_backward_errors(self, center, interior: np.ndarray) -> np.ndarray:
+        """The componentwise backward error of each system, leading shape."""
         c, out = self.apply(center, interior)
-        absoff = np.abs(self.block_off)[:, None]
+        absoff = np.abs(self.block_off)
         absint = np.abs(interior)
         scale = np.abs(self.block_diag) * absint
-        scale[:, 1:] += absoff * absint[:, :-1]
-        scale[:, :-1] += absoff * absint[:, 1:]
-        scale[:, 0] += np.abs(self.block_off) * abs(center)
+        scale[..., 1:] += absoff[..., None] * absint[..., :-1]
+        scale[..., :-1] += absoff[..., None] * absint[..., 1:]
+        scale[..., 0] += absoff * np.expand_dims(np.abs(center), -1)
         scale += np.abs(self.rhs_interior)
-        cscale = (abs(self.center_diag * center)
-                  + float(np.dot(np.abs(self.block_off), absint[:, 0]))
-                  + abs(self.rhs_center))
+        cscale = (np.abs(self.center_diag * center)
+                  + np.sum(absoff * absint[..., 0], axis=-1)
+                  + np.abs(self.rhs_center))
         tiny = np.finfo(float).tiny
-        err = float(np.max(np.abs(out - self.rhs_interior)
-                           / np.maximum(scale, tiny)))
-        return max(err, abs(c - self.rhs_center) / max(cscale, tiny))
+        err = np.max(np.abs(out - self.rhs_interior) / np.maximum(scale, tiny),
+                     axis=(-2, -1))
+        return np.maximum(err, np.abs(c - self.rhs_center)
+                          / np.maximum(cscale, tiny))
 
 
 @dataclass(frozen=True)
@@ -109,13 +130,15 @@ class StageSolution:
     ``values[e, j]`` is the value at t = j/m on edge e+1; column 0 is the
     shared center value and column m is the rim zero. ``node_loads`` keeps
     the assembled load vector so the balance identities below can be
-    evaluated with exactly the assembly quadrature.
+    evaluated with exactly the assembly quadrature. The solution of a
+    stacked system carries the same leading axes (``center`` and ``h``
+    arrays, ``stage`` None).
     """
 
-    stage: StarStage
+    stage: Optional[StarStage]
     m: int
-    h: float
-    center: float
+    h: float | np.ndarray
+    center: float | np.ndarray
     values: np.ndarray
     node_loads: np.ndarray
     field: Optional[ForcingField] = None
@@ -207,18 +230,21 @@ def group_load_sums(field: ForcingField, ells: np.ndarray, group_index,
     return sums
 
 
-def _arrowhead(stage: StarStage, loads: np.ndarray, h: float, m: int,
+def _arrowhead(stage: Optional[StarStage], coeffs: np.ndarray,
+               loads: np.ndarray, h, m: int,
                field: Optional[ForcingField]) -> ArrowheadSystem:
-    km = stage.coeffs * m
+    """The system of edge coefficients (..., n) and loads (..., n, m+1)."""
+    km = coeffs * m
+    h = np.asarray(h, dtype=float)
     return ArrowheadSystem(
         stage=stage,
         m=m,
-        h=float(h),
-        block_diag=np.broadcast_to(2.0 * km[:, None], (stage.n, m - 1)),
+        h=h if h.ndim else float(h),
+        block_diag=np.broadcast_to(2.0 * km[..., None], (*km.shape, m - 1)),
         block_off=-km,
-        center_diag=float(km.sum()),
-        rhs_interior=loads[:, 1:m].copy(),
-        rhs_center=float(loads[:, 0].sum()) + float(h),
+        center_diag=km.sum(axis=-1),
+        rhs_interior=loads[..., 1:m].copy(),
+        rhs_center=loads[..., 0].sum(axis=-1) + h,
         node_loads=loads,
         field=field,
     )
@@ -229,10 +255,11 @@ def assemble(stage: StarStage, field: ForcingField, h: float,
     """Assemble the stage system for center datum h on m elements per edge."""
     if m < 2:
         raise InvalidArgumentError("need m >= 2 elements per edge")
-    return _arrowhead(stage, assemble_loads(field, stage, m), h, m, field)
+    return _arrowhead(stage, stage.coeffs, assemble_loads(field, stage, m),
+                      h, m, field)
 
 
-def assemble_reduced(counts, group_values, load_sums: np.ndarray, h: float,
+def assemble_reduced(weights, load_sums: np.ndarray, h,
                      m: int) -> ArrowheadSystem:
     """The group-reduced system of a stage: one edge per non-empty group.
 
@@ -240,25 +267,26 @@ def assemble_reduced(counts, group_values, load_sums: np.ndarray, h: float,
     the equation of one edge with coefficient n_i K_i and the group's load
     sum, coupled to the same center row; its Schur scalar is still sum(K).
     The solution on that edge is therefore exactly the group average, and
-    the center value is the stage's. ``counts`` are the group sizes n_i and
-    ``load_sums`` the (groups, m+1) load sums (``group_load_sums``); rows
-    of empty groups are dropped, so row r of the solution is the r-th
-    non-empty group. The edge coefficients are weights, not diffusion
-    values, so the system carries no field.
+    the center value is the stage's. ``weights`` are the n_i K_i of the
+    non-empty groups and ``load_sums`` their (groups, m+1) load sums
+    (``group_load_sums``), so row r of the solution is the r-th weight's
+    group. The edge coefficients are weights, not diffusion values, so the
+    system carries no field. With leading axes, weights (S, k), load sums
+    (S, k, m+1) and h (S,) stack S stages that share their non-empty
+    groups, assembled and solved as one.
     """
     if m < 2:
         raise InvalidArgumentError("need m >= 2 elements per edge")
-    counts = np.asarray(counts)
-    keep = counts > 0
-    stage = group_star(counts[keep] * np.asarray(group_values, dtype=float)[keep])
-    return _arrowhead(stage, load_sums[keep], h, m, None)
+    weights = np.asarray(weights, dtype=float)
+    stage = group_star(weights) if weights.ndim == 1 else None
+    return _arrowhead(stage, weights, load_sums, h, m, None)
 
 
 def _tail_sums(r: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
-    """out[:, k] = sum_{i >= k} w_i r[:, i], the rim-to-center elimination."""
+    """out[..., k] = sum_{i >= k} w_i r[..., i], the rim-to-center elimination."""
     np.multiply(r, w, out=out)
-    rev = out[:, ::-1]
-    np.cumsum(rev, axis=1, out=rev)
+    rev = out[..., ::-1]
+    np.cumsum(rev, axis=-1, out=rev)
 
 
 def _edge_values(z: np.ndarray, km: np.ndarray, w: np.ndarray,
@@ -269,14 +297,14 @@ def _edge_values(z: np.ndarray, km: np.ndarray, w: np.ndarray,
     sum_{i <= k} z_i / (K m w_i (w_i + 1))).
     """
     z *= 1.0 / (w * (w + 1.0))
-    z /= km[:, None]
-    z[:, 0] += center / (w.size + 1)
-    np.cumsum(z, axis=1, out=z)
+    z /= km[..., None]
+    z[..., 0] += np.expand_dims(np.divide(center, w.size + 1), -1)
+    np.cumsum(z, axis=-1, out=z)
     z *= w
 
 
 def solve(system: ArrowheadSystem) -> StageSolution:
-    """Closed-form solve of an arrowhead system.
+    """Closed-form solve of an arrowhead system, or of a stack of them.
 
     Every block is the uniform P1 block K m (2, -1) on q = m-1 interior
     nodes, so elimination has a closed form with weights w_k = q - k (the
@@ -289,29 +317,35 @@ def solve(system: ArrowheadSystem) -> StageSolution:
     refinement step taken: the residual from ``apply``, the same Dirichlet
     cumsums with center 0, the correction added; the center is never
     refined, so its identity stays exact. The gate then decides.
+    Every step works on the trailing axes, so a stack of systems is solved
+    in the same few array operations, and the gate takes its worst system.
     Raises numerical-breakdown if some K m or the center Schur scalar fails
     to be positive and finite; the backward-error gate rejects a system
-    whose blocks are not of that form.
+    whose blocks are not of that form. For a stack the error's ``stages``
+    are the flat indices of the failing systems, when they can be told.
     """
-    n, q = system.rhs_interior.shape
+    *lead, n, q = system.rhs_interior.shape
     m = q + 1
     km = -system.block_off
-    if not (np.all(np.isfinite(km)) and np.all(km > 0)):
-        raise NumericalBreakdownError("non-positive elimination pivot")
+    ok = np.all(np.isfinite(km) & (km > 0), axis=-1)
+    if not np.all(ok):
+        raise _breakdown("non-positive elimination pivot", ok)
     # center_diag - sum(km) q/m, i.e. sum(K) for the assembled center row,
     # in a form with no cancellation when center_diag == sum(km)
-    km_sum = float(km.sum())
+    km_sum = km.sum(axis=-1)
     schur = system.center_diag - km_sum + km_sum / m
-    if not (np.isfinite(schur) and schur > 0):
-        raise NumericalBreakdownError("center Schur scalar not positive")
+    ok = np.isfinite(schur) & (schur > 0)
+    if not np.all(ok):
+        raise _breakdown("center Schur scalar not positive", ok)
     w = q - np.arange(q, dtype=float)
     # edge-major and in place in the solution: each cumsum runs along one
     # edge's row, with no transposed copy in or out
-    values = np.zeros((n, m + 1))
-    interior = values[:, 1:m]
+    values = np.zeros((*lead, n, m + 1))
+    interior = values[..., 1:m]
     _tail_sums(system.rhs_interior, w, interior)
-    center = (system.rhs_center + float(interior[:, 0].sum()) / m) / schur
-    values[:, 0] = center
+    center = (system.rhs_center + interior[..., 0].sum(axis=-1) / m) / schur
+    center = center if lead else float(center)
+    values[..., 0] = np.expand_dims(center, -1)
     _edge_values(interior, km, w, center)
     res = system.backward_error(center, interior)
     if not res <= 1e-12:
@@ -324,11 +358,26 @@ def solve(system: ArrowheadSystem) -> StageSolution:
         interior += out
         res = system.backward_error(center, interior)
     if not res <= 1e-12:
-        raise NumericalBreakdownError(
-            f"solve backward error {res:.3e} exceeds 1e-12")
+        raise _breakdown(f"solve backward error {res:.3e} exceeds 1e-12",
+                         system.stage_backward_errors(center, interior)
+                         <= 1e-12)
     return StageSolution(stage=system.stage, m=system.m, h=system.h,
                          center=center, values=values,
                          node_loads=system.node_loads, field=system.field)
+
+
+def _breakdown(message: str, ok) -> NumericalBreakdownError:
+    """The breakdown error naming the stacked systems where ``ok`` is False.
+
+    ``ok`` has the leading shape of the system (none for a single one), so
+    a stack's error lists the flat indices of its failing systems; it lists
+    none if they all pass on their own (a gate that failed as a whole).
+    """
+    stages = (tuple(np.flatnonzero(~np.asarray(ok)).tolist())
+              if np.ndim(ok) else ())
+    if stages:
+        message = f"{message} (stacked system {', '.join(map(str, stages))})"
+    return NumericalBreakdownError(message, stages=stages)
 
 
 def solve_stage(stage: StarStage, field: ForcingField, h: float,

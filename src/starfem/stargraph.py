@@ -81,6 +81,11 @@ def coefficient_random(
     The draw is a single sequential uniform stream, so the first n entries
     agree for every n (a fixed realization shared by all stages of a run).
     """
+    return np.asarray(values, dtype=float)[_random_draw(n, seed, probs, values)]
+
+
+def _random_draw(n: int, seed: int, probs, values) -> np.ndarray:
+    """0-based index i of the value drawn for each edge (``coefficient_random``)."""
     probs = tuple(float(p) for p in probs)
     if len(probs) != len(values):
         raise InvalidArgumentError("one probability per group value required")
@@ -88,8 +93,13 @@ def coefficient_random(
         raise InvalidArgumentError("group probabilities must be >= 0 and sum to 1")
     u = coefficient_rng(seed).random(n)
     idx = np.searchsorted(np.cumsum(probs), u, side="right")
-    idx = np.minimum(idx, len(values) - 1)
-    return np.asarray(values, dtype=float)[idx]
+    return np.minimum(idx, len(values) - 1, out=idx)
+
+
+def _last_group(values) -> np.ndarray:
+    """1-based group of each value: the last group carrying that value."""
+    last = {v: i + 1 for i, v in enumerate(values)}
+    return np.array([last[v] for v in values])
 
 
 def _group_of(coeffs: np.ndarray, group_values) -> np.ndarray:
@@ -137,14 +147,20 @@ def build_stage(
     """
     if n < 2:
         raise InvalidArgumentError("build_stage requires n >= 2")
-    if source == "deterministic":
-        # edge l = 3, 6, 9, ... (index 2, 5, 8, ...) takes the first value
-        coeff_arr = np.full(n, float(values[1]))
-        coeff_arr[2::3] = values[0]
+    if source in ("deterministic", "random"):
         group_values = tuple(float(v) for v in values)
-    elif source == "random":
-        coeff_arr = coefficient_random(n, seed, probs, values)
-        group_values = tuple(float(v) for v in values)
+        value_arr = np.asarray(group_values)
+        group = _last_group(group_values)
+        if source == "deterministic":
+            # edge l = 3, 6, 9, ... (index 2, 5, 8, ...) takes the first value
+            coeff_arr = np.full(n, value_arr[1])
+            coeff_arr[2::3] = value_arr[0]
+            group_of = np.full(n, group[1])
+            group_of[2::3] = group[0]
+        else:
+            draw = _random_draw(n, seed, probs, group_values)
+            coeff_arr = value_arr[draw]
+            group_of = group[draw]
     elif source == "explicit":
         if coeffs is None:
             raise InvalidArgumentError("explicit source requires coeffs")
@@ -152,14 +168,17 @@ def build_stage(
         if coeff_arr.shape != (n,):
             raise InvalidArgumentError("coeffs must supply one value per edge")
         group_values = tuple(sorted(set(coeff_arr.tolist())))
+        group_of = None
     else:
         raise InvalidArgumentError(f"unknown coefficient source {source!r}")
     if not np.all(coeff_arr > 0):
         raise InvalidArgumentError("diffusion coefficients must be positive")
+    if group_of is None:
+        group_of = _group_of(coeff_arr, group_values)
     return StarStage(
         n=n,
         coeffs=coeff_arr,
-        group_of=_group_of(coeff_arr, group_values),
+        group_of=group_of,
         group_values=group_values,
         c_K=float(coeff_arr.min()),
     )

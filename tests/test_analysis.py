@@ -29,7 +29,7 @@ from starfem import (
     weyl_cos_mean,
     weyl_fraction,
 )
-from starfem import analysis
+from starfem import analysis, femsolve
 from starfem.analysis import group_average_sweep
 from starfem.expcli import main
 from starfem.femsolve import center_identity_residual
@@ -89,6 +89,36 @@ class TestGridNorms:
         l2, semi = grid_norms(f, z)
         _, full = grid_norms(f, z, full=True)
         assert full == pytest.approx(np.hypot(l2, semi), abs=1e-14)
+
+    @pytest.mark.parametrize("full", [False, True])
+    @pytest.mark.parametrize("m", [8, 9])
+    def test_stacked_grids_match_one_pair_at_a_time(self, m, full):
+        # m = 9 closes the Simpson rule with the 3/8 branch
+        rng = np.random.default_rng(m)
+        f = rng.standard_normal((4, 3, m + 1))
+        g = rng.standard_normal((3, m + 1))
+        l2, h1 = grid_norms(f, g, full=full)
+        assert l2.shape == h1.shape == (4, 3)
+        for k in range(4):
+            for i in range(3):
+                pair = grid_norms(GridFunction(m=m, values=f[k, i]),
+                                  GridFunction(m=m, values=g[i]), full=full)
+                assert all(type(v) is float for v in pair)
+                assert (l2[k, i], h1[k, i]) == pair
+                # against the formulas written out for one pair
+                d = f[k, i] - g[i]
+                ref_l2 = np.sqrt(np.dot(analysis._simpson_weights(m), d * d))
+                ref_h1 = np.sqrt(np.sum(np.diff(d) ** 2) * m)
+                if full:
+                    ref_h1 = np.hypot(ref_l2, ref_h1)
+                assert l2[k, i] == pytest.approx(ref_l2, rel=1e-15)
+                assert h1[k, i] == pytest.approx(ref_h1, rel=1e-14)
+
+    def test_stacked_grids_must_share_the_mesh(self):
+        with pytest.raises(InvalidArgumentError):
+            grid_norms(np.zeros((2, 5)), np.zeros((2, 6)))
+        with pytest.raises(InvalidArgumentError):
+            grid_norms(np.zeros((2, 2)), np.zeros(2))
 
     @settings(max_examples=40, deadline=None)
     @given(vals=st.lists(st.floats(-100, 100), min_size=5, max_size=5),
@@ -218,6 +248,61 @@ class TestGroupAverageSweep:
                     assert np.max(np.abs(got.values - ref.values)) \
                         <= 1e-11 * scale
             assert abs(avg.reduced.center - sol.center) <= 1e-11 * scale
+
+    def test_stages_with_different_empty_groups_share_a_chunk(self,
+                                                              monkeypatch):
+        # stage 2 has no group-1 edge under the deterministic rule and the
+        # later stages have both groups: one chunk, two stacked solves
+        solve = analysis.solve
+        stacks = []
+
+        def spy(system):
+            stacks.append(system.block_off.shape)
+            return solve(system)
+
+        monkeypatch.setattr(analysis, "solve", spy)
+        stages = (2, 3, 4, 5, 6, 7)
+        m = 10
+        sweep = list(group_average_sweep("ex1", stages, m, h=0.4))
+        assert sorted(stacks) == [(1, 1), (5, 2)]
+        assert [a.n for a in sweep] == list(stages)
+        for avg in sweep:
+            sol = solve_example_stage("ex1", avg.n, m, h=0.4)
+            refs = [cesaro_solution_average(sol, i) if sol.stage.group_mask(i)
+                    .any() else None for i in (1, 2)]
+            scale = max(np.max(np.abs(r.values)) for r in refs
+                        if r is not None)
+            for got, ref in zip(avg.averages, refs):
+                assert (got is None) == (ref is None)
+                if ref is not None:
+                    assert np.max(np.abs(got.values - ref.values)) \
+                        <= 1e-11 * scale
+            assert abs(avg.reduced.center - sol.center) <= 1e-11 * scale
+            assert avg.reduced.stage.n == len(avg.reduced.values)
+            assert center_identity_residual(avg.reduced) <= 1e-12
+
+    def test_a_stage_failing_the_gate_is_named(self, monkeypatch):
+        # stage 2 is a stack of its own (no group-1 edge); the second stage
+        # of the other stack is perturbed in every pass, so the refinement
+        # step cannot repair it
+        edge_values = femsolve._edge_values
+        rng = np.random.default_rng(0)
+
+        def perturb_second(z, km, w, center):
+            edge_values(z, km, w, center)
+            if len(z) > 1:
+                z[1] *= 1.0 + 1e-3 * rng.standard_normal(z[1].shape)
+
+        monkeypatch.setattr(femsolve, "_edge_values", perturb_second)
+        with pytest.raises(NumericalBreakdownError,
+                           match=r"^stage n=11: .*stacked system 1\)$"):
+            list(group_average_sweep("ex1", [2, 10, 11, 12, 13], 8))
+
+    def test_a_stack_failing_as_a_whole_names_its_stages(self, monkeypatch):
+        monkeypatch.setattr(ArrowheadSystem, "backward_error",
+                            lambda self, center, interior: 1.0)
+        with pytest.raises(NumericalBreakdownError, match=r"^stages n=10\.\.20:"):
+            list(group_average_sweep("ex1", [10, 15, 20], 8))
 
     def test_empty_group_reads_none(self):
         # the deterministic rule has no group-1 edge before edge 3

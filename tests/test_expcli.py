@@ -333,3 +333,16 @@ class TestMain:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         assert out.exists()
+
+    def test_import_does_not_load_numpy_random(self):
+        # numpy.random costs ~15 ms of every start-up; only random
+        # coefficients and noise need it, and they import it when drawn
+        src = os.path.dirname(os.path.dirname(
+            os.path.abspath(sys.modules["starfem"].__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, starfem; print('numpy.random' in sys.modules)"],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -33,7 +33,7 @@ from starfem import (
     solve_stage,
 )
 from starfem import femsolve
-from starfem.femsolve import ArrowheadSystem, group_load_sums
+from starfem.femsolve import ArrowheadSystem, assemble_reduced, group_load_sums
 
 PI = np.pi
 
@@ -358,6 +358,60 @@ class TestSolve:
             sol.edge_grid(4)
         with pytest.raises(InvalidArgumentError):
             sol.edge_grid(0)
+
+
+class TestStackedSolve:
+    """Reduced systems stacked on a leading axis, against one solve each."""
+
+    @staticmethod
+    def _stack(seed, stages, k, m):
+        rng = np.random.default_rng(seed)
+        return (rng.uniform(0.1, 50.0, (stages, k)),
+                rng.standard_normal((stages, k, m + 1)),
+                rng.uniform(-10.0, 10.0, stages))
+
+    @settings(max_examples=40, deadline=None)
+    @given(stages=st.integers(1, 8), k=st.integers(1, 5),
+           m=st.integers(2, 64), seed=st.integers(0, 2**32 - 1))
+    def test_matches_one_solve_per_stage(self, stages, k, m, seed):
+        weights, loads, h = self._stack(seed, stages, k, m)
+        stack = solve(assemble_reduced(weights, loads, h, m))
+        assert stack.stage is None
+        assert stack.values.shape == (stages, k, m + 1)
+        assert stack.center.shape == (stages,)
+        for s in range(stages):
+            one = solve(assemble_reduced(weights[s], loads[s], h[s], m))
+            assert one.stage.n == k
+            assert stack.center[s] == one.center
+            assert np.array_equal(stack.values[s], one.values)
+
+    def test_gate_reports_the_worst_stage(self):
+        weights, loads, h = self._stack(1, 5, 2, 20)
+        system = assemble_reduced(weights, loads, h, 20)
+        sol = solve(system)
+        interior = sol.values[..., 1:20]
+        per_stage = system.stage_backward_errors(sol.center, interior)
+        assert per_stage.shape == (5,)
+        err = system.backward_error(sol.center, interior)
+        assert type(err) is float
+        assert err == per_stage.max() <= 1e-12
+
+    def test_a_failing_stage_is_named(self):
+        weights, loads, h = self._stack(2, 5, 2, 12)
+        system = assemble_reduced(weights, loads, h, 12)
+        diag = np.array(system.block_diag)
+        diag[3] *= -1.0
+        with pytest.raises(NumericalBreakdownError,
+                           match=r"exceeds 1e-12 \(stacked system 3\)"
+                           ) as info:
+            solve(dataclasses.replace(system, block_diag=diag))
+        assert info.value.stages == (3,)
+        off = system.block_off.copy()
+        off[1, 0] = np.nan
+        off[4, 1] = 1.0
+        with pytest.raises(NumericalBreakdownError, match="pivot") as info:
+            solve(dataclasses.replace(system, block_off=off))
+        assert info.value.stages == (1, 4)
 
 
 class TestBreakdown:
