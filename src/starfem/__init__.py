@@ -10,10 +10,10 @@ from ._rng import PRNG_NAME
 from .errors import (ConfigError, EmptyGroupError, InvalidArgumentError,
                      NumericalBreakdownError, StarFemError, UndefinedRateError)
 from .stargraph import (GROUP_PROBS, GROUP_VALUES, TWO_PI, GroupStats,
-                        StarStage, build_stage, coefficient_deterministic,
-                        coefficient_random, group_stats, vertex_angles)
-from .forcing import (ForcingField, GridFunction, angular_average,
-                      builtin_field, cesaro_forcing_average, edge_load_moment,
+                        StarStage, build_stage, coefficient_random,
+                        group_stats, vertex_angles)
+from .forcing import (ForcingField, GridFunction, builtin_field,
+                      cesaro_forcing_average, edge_load_moment,
                       manufactured_exact, manufactured_exact_deriv,
                       manufactured_profile, profile_moment)
 from .femsolve import (ArrowheadSystem, StageSolution, assemble,
@@ -21,7 +21,7 @@ from .femsolve import (ArrowheadSystem, StageSolution, assemble,
                        center_identity_residual, edge_flux_at_center,
                        edge_identity_residual, manufactured_case, solve,
                        solve_stage)
-from .upscale import (HomogenizedSolution, OracleEntry, UpscaledProblem,
+from .upscale import (HomogenizedSolution, UpscaledProblem,
                       analytic_oracle, build_upscaled, center_limit,
                       predicted_edge_flux, solve_upscaled,
                       weighted_flux_defect)
@@ -40,16 +40,16 @@ __all__ = [
     "StarFemError", "InvalidArgumentError", "NumericalBreakdownError",
     "EmptyGroupError", "UndefinedRateError", "ConfigError",
     "GROUP_PROBS", "GROUP_VALUES", "TWO_PI", "StarStage", "GroupStats",
-    "vertex_angles", "coefficient_deterministic", "coefficient_random",
+    "vertex_angles", "coefficient_random",
     "build_stage", "group_stats",
     "ForcingField", "GridFunction", "builtin_field", "edge_load_moment",
-    "profile_moment", "cesaro_forcing_average", "angular_average",
+    "profile_moment", "cesaro_forcing_average",
     "manufactured_profile", "manufactured_exact", "manufactured_exact_deriv",
     "ArrowheadSystem", "StageSolution", "assemble", "assemble_loads",
     "solve", "solve_stage", "center_identity_residual",
     "edge_identity_residual", "edge_flux_at_center", "center_flux_sum",
     "manufactured_case",
-    "UpscaledProblem", "HomogenizedSolution", "OracleEntry",
+    "UpscaledProblem", "HomogenizedSolution",
     "solve_upscaled", "center_limit", "predicted_edge_flux",
     "build_upscaled", "analytic_oracle", "weighted_flux_defect",
     "ConvergenceRow", "CauchyRow", "cesaro_solution_average", "grid_norms",

@@ -3,16 +3,16 @@
 Everything here consumes stage solutions and produces plain numbers or
 rows, so the experiment runner can stay a thin formatting layer. Tables
 and Cauchy windows read only group averages and the center value, which
-the group-reduced system of a stage gives exactly (``assemble_reduced``):
-``group_average_sweep`` walks the edges once, in increasing n and in
-blocks, with one load pass per block in which each edge is keyed by its
-segment (the first requested stage that contains it) and its group. A
-cumsum over the segments gives every stage's group sums; stages go in
-chunks so those stacked sums stay bounded. The reduced systems of a chunk
-are solved as one stack per set of non-empty groups, and the norms of a
-table or of a set of Cauchy windows are taken for every (stage, group)
-at once. The full n-edge solve (``solve_example_stage``) serves the
-single-stage emits and is the reference the sweep is tested against.
+the group-reduced system of a stage gives exactly (``assemble_reduced``).
+``group_average_sweep`` feeds every requested stage from one walk over the
+edges, solves the reduced systems as stacks, and yields the arrays it
+holds per chunk of stages: sizes, group counts, centers, group averages
+and load sums, with no per-stage object. Tables and Cauchy windows read
+those arrays and take the norms of every (stage, group) in one call.
+References (``reference_grids``) follow the configured law and come from
+the family's record through ``upscale``. The full n-edge solve
+(``solve_example_stage``) serves the single-stage emits and is the
+reference the sweep is tested against.
 """
 from __future__ import annotations
 
@@ -26,9 +26,9 @@ from .errors import (EmptyGroupError, InvalidArgumentError,
 from .femsolve import (StageSolution, assemble_reduced, group_load_sums,
                        solve, solve_stage)
 from .forcing import GridFunction, builtin_field
-from .stargraph import (GROUP_PROBS, GROUP_VALUES, TWO_PI, build_stage,
-                        group_star)
-from .upscale import analytic_oracle, build_upscaled, solve_upscaled
+from .stargraph import GROUP_PROBS, GROUP_VALUES, TWO_PI, build_stage
+from .upscale import (analytic_oracle, build_upscaled, printed_curves,
+                      solve_upscaled)
 
 
 @dataclass(frozen=True)
@@ -109,10 +109,12 @@ def grid_norms(f, g, full: bool = False):
     if m < 2:
         raise InvalidArgumentError("grid needs m >= 2 elements")
     d = f - g
-    # vecdot takes the same dot product per grid as a single pair would
-    l2 = np.sqrt(np.maximum(np.vecdot(d * d, _simpson_weights(m)), 0.0))
-    slopes = (d[..., 1:] - d[..., :-1]) * m
-    h1 = np.sqrt(np.sum(slopes * slopes, axis=-1) / m)
+    # a size beyond the float range reads inf, which the CSV writer refuses
+    with np.errstate(over="ignore"):
+        # vecdot takes the same dot product per grid as a single pair would
+        l2 = np.sqrt(np.maximum(np.vecdot(d * d, _simpson_weights(m)), 0.0))
+        slopes = (d[..., 1:] - d[..., :-1]) * m
+        h1 = np.sqrt(np.sum(slopes * slopes, axis=-1) / m)
     if full:
         h1 = np.hypot(l2, h1)
     if d.ndim == 1:
@@ -162,20 +164,6 @@ def solve_example_stage(example: str, n: int, m: int, *,
         raise NumericalBreakdownError(f"stage n={n}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class StageAverages:
-    """Group averages of one stage, from its group-reduced solve.
-
-    ``averages[i]`` is the average over group i+1, or None when that group
-    has no edge at this stage; ``reduced`` is the certified reduced
-    solution (one row per non-empty group).
-    """
-
-    n: int
-    averages: tuple
-    reduced: StageSolution
-
-
 #: float64 values per block of edges (Gauss-point work) and per chunk of
 #: stages (stacked group load sums) in a sweep
 SWEEP_BLOCK_VALUES = 1 << 20
@@ -185,7 +173,12 @@ def group_average_sweep(example: str, stages: Sequence[int], m: int, *,
                         coeff: str = "deterministic", seed: int = 0,
                         probs=GROUP_PROBS, values=GROUP_VALUES,
                         parameters: dict | None = None, h=0.0):
-    """Yield a StageAverages for each of the strictly increasing stages.
+    """Group averages of the strictly increasing stages, chunk by chunk.
+
+    Yields per chunk of S stages the arrays ``(stages, counts, centers,
+    averages, sums)``: sizes (S,), group sizes (S, g), center values (S,),
+    group averages and group load sums (S, g, m+1). An empty group has
+    count 0 and an average of zeros.
 
     The coefficients come from one ``build_stage`` at the largest stage
     (both sources are prefix-stable in n). The stages are taken in chunks
@@ -246,24 +239,27 @@ def group_average_sweep(example: str, stages: Sequence[int], m: int, *,
             done = part[-1]
             sums = sums[-1] + np.cumsum(seg_sums.reshape(-1, g, m + 1), axis=0)
             counts = counts[-1] + np.cumsum(seg_counts.reshape(-1, g), axis=0)
-            yield from _stacked_averages(part, counts, star.group_values, sums,
-                                         [h_of(n) for n in part], m)
+            centers, averages = _stacked_solve(
+                ends, counts, star.group_values, sums,
+                [h_of(n) for n in part], m)
+            yield ends, counts, centers, averages, sums
 
 
-def _stacked_averages(stages, counts, group_values, sums, h, m: int) -> list:
-    """StageAverages of a chunk of stages, from stacked reduced solves.
+def _stacked_solve(stages: np.ndarray, counts: np.ndarray, group_values,
+                   sums: np.ndarray, h, m: int):
+    """Centers (S,) and group averages (S, g, m+1) of a chunk of stages.
 
     ``counts`` (S, g) and ``sums`` (S, g, m+1) are the group sizes and load
     sums of the S stages, ``h`` their data. Stages that share their set of
-    non-empty groups form one stack, assembled and solved as one system
-    with leading axis; the gate certifies every stage of it. A breakdown
-    names the failing stages, or the stack's range of stages when no
-    single stage fails on its own.
+    non-empty groups form one stack, solved as one system with leading
+    axis, which the gate certifies stage by stage. A breakdown names the
+    failing stages, or the stack's range when none fails on its own.
     """
     group_values = np.asarray(group_values, dtype=float)
     h = np.asarray(h, dtype=float)
+    centers = np.zeros(len(stages))
+    averages = np.zeros(sums.shape)
     patterns, which = np.unique(counts > 0, axis=0, return_inverse=True)
-    out = [None] * len(stages)
     for p, keep in enumerate(patterns):
         members = np.flatnonzero(which.ravel() == p)
         weights = counts[members][:, keep] * group_values[keep]
@@ -271,58 +267,50 @@ def _stacked_averages(stages, counts, group_values, sums, h, m: int) -> list:
             stack = solve(assemble_reduced(
                 weights, sums[np.ix_(members, keep)], h[members], m))
         except NumericalBreakdownError as exc:
-            ns = [stages[members[i]] for i in exc.stages]
+            ns = [int(stages[members[i]]) for i in exc.stages]
             where = (f"stage n={', '.join(map(str, ns))}" if ns else
                      f"stages n={stages[members[0]]}..{stages[members[-1]]}")
             raise NumericalBreakdownError(f"{where}: {exc}") from exc
-        for j, s in enumerate(members):
-            reduced = StageSolution(
-                stage=group_star(weights[j]), m=m, h=float(h[s]),
-                center=float(stack.center[j]), values=stack.values[j],
-                node_loads=stack.node_loads[j])
-            rows = iter(reduced.values)
-            out[s] = StageAverages(
-                n=stages[s], reduced=reduced,
-                averages=tuple(GridFunction(m=m, values=next(rows))
-                               if k else None for k in keep))
-    return out
+        centers[members] = stack.center
+        averages[np.ix_(members, keep)] = stack.values
+    return centers, averages
+
+
+def _sweep_arrays(example: str, stages, m: int, **kwargs):
+    """The sweep's per-chunk arrays joined over all stages, or None."""
+    chunks = list(group_average_sweep(example, stages, m, **kwargs))
+    return tuple(map(np.concatenate, zip(*chunks))) if chunks else None
 
 
 def reference_grids(example: str, reference, m: int, *,
                     parameters: dict | None = None,
-                    probs=GROUP_PROBS, values=GROUP_VALUES):
+                    probs=GROUP_PROBS, values=GROUP_VALUES,
+                    coeff: str = "deterministic", h=0.0):
     """Per-group reference curves as grids, plus an identifying label.
 
-    ``reference`` is "oracle" (derived closed form), "printed" (curves as
-    published, even when flagged inconsistent), "upscaled" (solve the limit
-    problem on this mesh), or an explicit sequence of callables or grids.
+    ``reference`` is "oracle" (the derived closed form), "printed" (the
+    curves as published, even when flagged inconsistent), "upscaled" (the
+    limit problem solved on this mesh), or explicit callables or grids.
+    The first three follow the configured law (``upscale``).
     """
+    law = dict(parameters=parameters, probs=probs, values=values,
+               coeff=coeff)
     if isinstance(reference, str):
         if reference == "upscaled":
-            hom = solve_upscaled(
-                build_upscaled(example, parameters, probs, values), m)
+            hom = solve_upscaled(build_upscaled(example, h=h, **law), m)
             return hom.grids, "upscaled"
-        if reference in ("oracle", "printed"):
-            entry = analytic_oracle(example, parameters)
-            if entry is None:
-                raise InvalidArgumentError(
-                    f"no analytic reference registered for {example!r}")
-            which = "derived" if reference == "oracle" else "printed"
-            return tuple(sample_grid(f, m) for f in entry.reference(which)), reference
-        raise InvalidArgumentError(
-            "reference is 'oracle', 'printed', 'upscaled', or explicit curves")
+        if reference == "oracle":
+            curves = analytic_oracle(example, h=h, **law)
+        elif reference == "printed":
+            curves = printed_curves(example, **law)
+        else:
+            raise InvalidArgumentError(
+                "reference is 'oracle', 'printed', 'upscaled', or explicit "
+                "curves")
+        return tuple(sample_grid(f, m) for f in curves), reference
     grids = tuple(g if isinstance(g, GridFunction) else sample_grid(g, m)
                   for g in reference)
     return grids, "custom"
-
-
-def _group_average(avg: StageAverages, i: int) -> GridFunction:
-    """Average over 1-based group i, raising for an empty group."""
-    if not 1 <= i <= len(avg.averages):
-        raise InvalidArgumentError(f"group index {i} out of range")
-    if avg.averages[i - 1] is None:
-        raise EmptyGroupError(f"group {i} has no edges at stage n={avg.n}")
-    return avg.averages[i - 1]
 
 
 def convergence_table(example: str, stages: Sequence[int], m: int, reference,
@@ -333,27 +321,32 @@ def convergence_table(example: str, stages: Sequence[int], m: int, reference,
     """One ConvergenceRow per (stage, group), errors against the reference."""
     refs, ref_id = reference_grids(example, reference, m,
                                    parameters=parameters, probs=probs,
-                                   values=values)
+                                   values=values, coeff=coeff, h=h)
     for ref in refs:
         if ref.m != m:
             raise InvalidArgumentError(f"grids disagree: m={m} vs m={ref.m}")
-    sweep, grids = [], []
-    for avg in group_average_sweep(example, stages, m, coeff=coeff,
-                                   seed=seed, probs=probs, values=values,
-                                   parameters=parameters, h=h):
-        sweep.append(avg)
-        grids.append([_group_average(avg, i).values
-                      for i in range(1, len(refs) + 1)])
-    if not sweep or not refs:
+    sweep = _sweep_arrays(example, stages, m, coeff=coeff, seed=seed,
+                          probs=probs, values=values, parameters=parameters,
+                          h=h)
+    if sweep is None or not refs:
         return []
+    ns, counts, centers, averages, _ = sweep
+    g = len(refs)
+    if g > counts.shape[1]:
+        raise InvalidArgumentError(
+            f"group index {counts.shape[1] + 1} out of range")
+    empty = np.argwhere(counts[:, :g] == 0)
+    if empty.size:
+        k, i = empty[0]
+        raise EmptyGroupError(f"group {i + 1} has no edges at stage n={ns[k]}")
     # every (stage, group) distance in one pass
-    l2, h1 = grid_norms(np.array(grids), np.array([r.values for r in refs]),
+    l2, h1 = grid_norms(averages[:, :g], np.array([r.values for r in refs]),
                         full=full_h1)
-    return [ConvergenceRow(n=avg.n, group=i + 1, l2_error=float(l2[k, i]),
+    return [ConvergenceRow(n=int(n), group=i + 1, l2_error=float(l2[k, i]),
                            h1_error=float(h1[k, i]),
-                           center_value=avg.reduced.center,
+                           center_value=float(centers[k]),
                            reference_id=ref_id, m=m, seed=seed)
-            for k, avg in enumerate(sweep) for i in range(len(refs))]
+            for k, n in enumerate(ns) for i in range(g)]
 
 
 def cauchy_diagnostics(example: str, centers: Sequence[int], window: int = 10,
@@ -384,29 +377,26 @@ def cauchy_diagnostics(example: str, centers: Sequence[int], window: int = 10,
                 f"center n={n} is too small for window={window}")
         spans.append((n, lo, hi))
     needed = sorted({j for _, lo, hi in spans for j in range(lo - 1, hi + 1)})
-    sweep = list(group_average_sweep(
-        example, needed, m, coeff=coeff, seed=seed, probs=probs,
-        values=values, parameters=parameters, h=h))
-    ngroups = len(tuple(values))
-    present = np.array([[a is not None for a in avg.averages]
-                        for avg in sweep])
-    grids = np.zeros((len(needed), ngroups, m + 1))
-    for k, avg in enumerate(sweep):
-        grids[k, present[k]] = avg.reduced.values
+    sweep = _sweep_arrays(example, needed, m, coeff=coeff, seed=seed,
+                          probs=probs, values=values, parameters=parameters,
+                          h=h)
+    if sweep is None:
+        return []
+    _, counts, _, averages, _ = sweep
     # the distance between each needed stage and the one before it, every
     # group in one pass; a window's stages are consecutive in ``needed``,
     # so window c covers pairs first[c] .. first[c] + window - 1
-    l2, h1 = grid_norms(grids[1:], grids[:-1], full=full_h1)
+    l2, h1 = grid_norms(averages[1:], averages[:-1], full=full_h1)
     pos = {n: k for k, n in enumerate(needed)}
     first = np.array([pos[lo - 1] for _, lo, _ in spans])
     pairs = first[:, None] + np.arange(window)
     # cumsum adds each window's terms in order, as a running sum would
     eps = np.cumsum(l2[pairs], axis=1)[:, -1] / window
     delta = np.cumsum(h1[pairs], axis=1)[:, -1] / window
-    seen = present[first[:, None] + np.arange(window + 1)]
+    seen = counts[first[:, None] + np.arange(window + 1)] > 0
     rows = []
     for c, (n, _, _) in enumerate(spans):
-        for i in range(ngroups):
+        for i in range(counts.shape[1]):
             if not seen[c, :, i].any():
                 continue
             if not seen[c, :, i].all():
@@ -468,25 +458,12 @@ def reading_report(stages: Sequence[int], m: int, *, example: str = "ex3",
 
     The "center" reading takes the printed reference curves at face value
     (t = 0 at the center). The "rim" reading measures t from the rim on
-    both sides: the forcing profiles are evaluated at 1 - t and the
-    printed curves composed with 1 - t. The winner can then be judged
-    against whatever published table the caller holds; full H1 norms are
-    the default here because published tables typically use them.
+    both sides (``orientation`` "rim"): the forcing profiles are evaluated
+    at 1 - t and the printed curves composed with 1 - t. The winner can
+    then be judged against whatever published table the caller holds; full
+    H1 norms are the default because published tables typically use them.
     """
-    entry = analytic_oracle(example)
-    if entry is None or entry.printed is None:
-        raise InvalidArgumentError(f"{example!r} has no printed reference curves")
-    out = {}
-    for reading in ("center", "rim"):
-        if reading == "center":
-            params = None
-            refs = entry.printed
-        else:
-            params = {"orientation": "rim"}
-            refs = tuple(
-                (lambda f: (lambda t: f(1.0 - np.asarray(t, dtype=float))))(f)
-                for f in entry.printed)
-        out[reading] = convergence_table(
-            example, stages, m, refs, coeff=coeff, seed=seed,
-            parameters=params, full_h1=full_h1)
-    return out
+    return {reading: convergence_table(
+                example, stages, m, "printed", coeff=coeff, seed=seed,
+                parameters={"orientation": reading}, full_h1=full_h1)
+            for reading in ("center", "rim")}

@@ -5,7 +5,8 @@ output file starts with a comment carrying the normalized experiment config
 and the PRNG identifier, so a file is reproducible from its own header.
 Writes are atomic (temp file, then rename) and byte-identical across reruns
 of the same config unless the opt-in timestamp line is enabled. A request
-whose arrays would exceed MAX_ARRAY_VALUES is refused before it runs.
+whose arrays would exceed MAX_ARRAY_VALUES is refused before it runs, and
+a row holding NaN or inf is refused before anything is written.
 
 Exit codes: 0 success, 2 config or argument problems, 3 numerical
 failures, 4 I/O failures.
@@ -78,28 +79,28 @@ class ExperimentConfig:
         return p
 
     def normalized(self) -> str:
-        h = f"{self.h_coeff!r}*n" if self.h_linear else repr(self.h_coeff)
-        parts = {
-            "example": self.example, "emit": self.emit,
-            "stages": ",".join(str(v) for v in self.stages),
-            "centers": ",".join(str(v) for v in self.centers),
-            "n": self.n, "window": self.window, "mesh": self.mesh,
-            "coeff": self.coeff,
-            "probs": ",".join(repr(v) for v in self.probs),
-            "values": ",".join(repr(v) for v in self.values),
-            "seed": self.seed, "h": h, "reference": self.reference,
-            "orientation": self.orientation,
-            "interval": ",".join(repr(v) for v in self.interval),
-            "full_h1": str(self.full_h1).lower(),
-        }
-        if self.noise >= 0:
-            parts["noise"] = repr(self.noise)
-        if self.example == "constant":
-            parts["c"] = repr(self.c)
-        if self.errors:
-            parts["errors"] = ",".join(repr(v) for v in self.errors)
-        body = " ".join(f"{k}={parts[k]}" for k in sorted(parts))
+        """Sorted key=value pairs as a config spells them, then the PRNG.
+
+        The output path, the timestamp and unset optional keys stay out.
+        """
+        parts = {k: v for k, v in dataclasses.asdict(self).items()
+                 if k not in ("h_coeff", "h_linear", "out", "timestamp")}
+        parts["h"] = (f"{self.h_coeff!r}*n" if self.h_linear
+                      else repr(self.h_coeff))
+        if self.noise < 0:
+            del parts["noise"]
+        if self.example != "constant" and self.c == 0.0:
+            del parts["c"]
+        if not self.errors:
+            del parts["errors"]
+        body = " ".join(f"{k}={_text(parts[k])}" for k in sorted(parts))
         return f"{body} prng={PRNG_NAME}"
+
+
+def _text(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(repr(v) for v in value)
+    return str(value).lower() if isinstance(value, bool) else str(value)
 
 
 _PI_TOKENS = {"pi": np.pi, "2pi": TWO_PI, "2*pi": TWO_PI}
@@ -145,6 +146,55 @@ def _float_list(raw: str, line: int) -> tuple:
 _H_RE = re.compile(r"^(?P<c>[^*]+?)\s*(?P<lin>\*\s*n)?$")
 
 
+def _one_of(key: str, options):
+    def parse(raw: str, line: int) -> str:
+        if raw not in options:
+            raise ConfigError(f"{key} must be one of {'|'.join(options)}",
+                              line=line)
+        return raw
+
+    return parse
+
+
+def _checked(parse, ok, message: str):
+    def checked(raw: str, line: int):
+        value = parse(raw, line)
+        if not ok(value):
+            raise ConfigError(message, line=line)
+        return value
+
+    return checked
+
+
+def _datum(raw: str, line: int) -> dict:
+    match = _H_RE.match(raw)
+    if match is None:
+        raise ConfigError("h must look like '2.5' or '2.5*n'", line=line)
+    return {"h_coeff": _float(match.group("c"), line),
+            "h_linear": match.group("lin") is not None}
+
+
+#: parser of each key's raw text; ``h`` sets the two datum fields
+_PARSERS = {
+    "example": _one_of("example", FAMILY_IDS),
+    "emit": _one_of("emit", EMITS),
+    "stages": _int_list, "centers": _int_list,
+    "n": _int, "window": _int, "mesh": _int,
+    "seed": _checked(_int, lambda v: 0 <= v < 2**64,
+                     "seed must fit in an unsigned 64-bit value"),
+    "coeff": _one_of("coeff", ("deterministic", "random")),
+    "probs": _float_list, "values": _float_list, "h": _datum,
+    "reference": _one_of("reference", ("oracle", "printed", "upscaled")),
+    "out": lambda raw, line: raw,
+    "noise": _checked(_float, lambda v: v >= 0, "noise must be >= 0"),
+    "c": _float,
+    "orientation": _one_of("orientation", ("center", "rim")),
+    "interval": _checked(_float_list, lambda v: len(v) == 2,
+                         "interval needs exactly two endpoints"),
+    "errors": _float_list, "full_h1": _bool, "timestamp": _bool,
+}
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and fully validate a flat key=value config."""
     fields: dict = {}
@@ -157,80 +207,14 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"expected key=value, got {line!r}", line=lineno)
         key, _, raw = line.partition("=")
         key = key.strip()
-        raw = raw.strip()
         if key in seen:
             raise ConfigError(f"duplicate key {key!r} (first on line {seen[key]})",
                               line=lineno)
         seen[key] = lineno
-        if key == "example":
-            if raw not in FAMILY_IDS:
-                raise ConfigError(f"unknown example {raw!r}", line=lineno)
-            fields["example"] = raw
-        elif key == "emit":
-            if raw not in EMITS:
-                raise ConfigError(f"emit must be one of {'|'.join(EMITS)}",
-                                  line=lineno)
-            fields["emit"] = raw
-        elif key == "stages":
-            fields["stages"] = _int_list(raw, lineno)
-        elif key == "centers":
-            fields["centers"] = _int_list(raw, lineno)
-        elif key in ("n", "window", "mesh"):
-            fields[key] = _int(raw, lineno)
-        elif key == "seed":
-            seed = _int(raw, lineno)
-            if not 0 <= seed < 2**64:
-                raise ConfigError("seed must fit in an unsigned 64-bit value",
-                                  line=lineno)
-            fields["seed"] = seed
-        elif key == "coeff":
-            if raw not in ("deterministic", "random"):
-                raise ConfigError("coeff must be deterministic or random",
-                                  line=lineno)
-            fields["coeff"] = raw
-        elif key == "probs":
-            fields["probs"] = _float_list(raw, lineno)
-        elif key == "values":
-            fields["values"] = _float_list(raw, lineno)
-        elif key == "h":
-            match = _H_RE.match(raw)
-            if match is None:
-                raise ConfigError("h must look like '2.5' or '2.5*n'",
-                                  line=lineno)
-            fields["h_coeff"] = _float(match.group("c"), lineno)
-            fields["h_linear"] = match.group("lin") is not None
-        elif key == "reference":
-            if raw not in ("oracle", "printed", "upscaled"):
-                raise ConfigError("reference must be oracle, printed or upscaled",
-                                  line=lineno)
-            fields["reference"] = raw
-        elif key == "out":
-            fields["out"] = raw
-        elif key == "noise":
-            noise = _float(raw, lineno)
-            if noise < 0:
-                raise ConfigError("noise must be >= 0", line=lineno)
-            fields["noise"] = noise
-        elif key == "c":
-            fields["c"] = _float(raw, lineno)
-        elif key == "orientation":
-            if raw not in ("center", "rim"):
-                raise ConfigError("orientation must be center or rim", line=lineno)
-            fields["orientation"] = raw
-        elif key == "interval":
-            pair = _float_list(raw, lineno)
-            if len(pair) != 2:
-                raise ConfigError("interval needs exactly two endpoints",
-                                  line=lineno)
-            fields["interval"] = pair
-        elif key == "errors":
-            fields["errors"] = _float_list(raw, lineno)
-        elif key == "full_h1":
-            fields["full_h1"] = _bool(raw, lineno)
-        elif key == "timestamp":
-            fields["timestamp"] = _bool(raw, lineno)
-        else:
+        if key not in _PARSERS:
             raise ConfigError(f"unknown key {key!r}", line=lineno)
+        value = _PARSERS[key](raw.strip(), lineno)
+        fields.update(value if key == "h" else {key: value})
     if "example" not in fields:
         raise ConfigError("missing required key 'example'")
     config = ExperimentConfig(**fields)
@@ -307,8 +291,18 @@ def _out_path(config: ExperimentConfig) -> str:
     return path
 
 
+def _check_finite(header: list, rows: list):
+    """Refuse a row holding NaN or inf: data must be finite numbers."""
+    for k, row in enumerate(rows, start=1):
+        if not all(math.isfinite(v) for v in row if isinstance(v, float)):
+            cells = ", ".join(f"{h}={_fmt(v)}" for h, v in zip(header, row))
+            raise NumericalBreakdownError(
+                f"row {k} holds a non-finite value ({cells}); nothing written")
+
+
 def _write_csv(config: ExperimentConfig, path: str, comments: list,
                header: list, rows: list) -> str:
+    _check_finite(header, rows)
     tmp = f"{path}.tmp{os.getpid()}"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
@@ -384,7 +378,8 @@ def _run_identity(config: ExperimentConfig) -> str:
 
 def _run_upscaled(config: ExperimentConfig) -> str:
     problem = build_upscaled(config.example, config.parameters(),
-                             config.probs, config.values)
+                             config.probs, config.values,
+                             coeff=config.coeff, h=config.h_of)
     hom = solve_upscaled(problem, config.mesh)
     limit = center_limit(problem)
     comments = [
@@ -511,10 +506,7 @@ def main(argv=None) -> int:
     try:
         config = _config_from_args(args)
         paths = run(config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InvalidArgumentError, EmptyGroupError) as exc:
+    except (ConfigError, InvalidArgumentError, EmptyGroupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericalBreakdownError, UndefinedRateError) as exc:

@@ -64,7 +64,6 @@ class ArrowheadSystem:
     rhs_interior: np.ndarray
     rhs_center: float | np.ndarray
     node_loads: np.ndarray
-    field: Optional[ForcingField] = None
 
     @property
     def unknowns(self) -> int:
@@ -141,7 +140,6 @@ class StageSolution:
     center: float | np.ndarray
     values: np.ndarray
     node_loads: np.ndarray
-    field: Optional[ForcingField] = None
 
     def __post_init__(self):
         self.values.flags.writeable = False
@@ -231,8 +229,7 @@ def group_load_sums(field: ForcingField, ells: np.ndarray, group_index,
 
 
 def _arrowhead(stage: Optional[StarStage], coeffs: np.ndarray,
-               loads: np.ndarray, h, m: int,
-               field: Optional[ForcingField]) -> ArrowheadSystem:
+               loads: np.ndarray, h, m: int) -> ArrowheadSystem:
     """The system of edge coefficients (..., n) and loads (..., n, m+1)."""
     km = coeffs * m
     h = np.asarray(h, dtype=float)
@@ -246,7 +243,6 @@ def _arrowhead(stage: Optional[StarStage], coeffs: np.ndarray,
         rhs_interior=loads[..., 1:m].copy(),
         rhs_center=loads[..., 0].sum(axis=-1) + h,
         node_loads=loads,
-        field=field,
     )
 
 
@@ -256,7 +252,7 @@ def assemble(stage: StarStage, field: ForcingField, h: float,
     if m < 2:
         raise InvalidArgumentError("need m >= 2 elements per edge")
     return _arrowhead(stage, stage.coeffs, assemble_loads(field, stage, m),
-                      h, m, field)
+                      h, m)
 
 
 def assemble_reduced(weights, load_sums: np.ndarray, h,
@@ -270,16 +266,15 @@ def assemble_reduced(weights, load_sums: np.ndarray, h,
     the center value is the stage's. ``weights`` are the n_i K_i of the
     non-empty groups and ``load_sums`` their (groups, m+1) load sums
     (``group_load_sums``), so row r of the solution is the r-th weight's
-    group. The edge coefficients are weights, not diffusion values, so the
-    system carries no field. With leading axes, weights (S, k), load sums
-    (S, k, m+1) and h (S,) stack S stages that share their non-empty
-    groups, assembled and solved as one.
+    group. With leading axes, weights (S, k), load sums (S, k, m+1) and
+    h (S,) stack S stages that share their non-empty groups, assembled and
+    solved as one.
     """
     if m < 2:
         raise InvalidArgumentError("need m >= 2 elements per edge")
     weights = np.asarray(weights, dtype=float)
     stage = group_star(weights) if weights.ndim == 1 else None
-    return _arrowhead(stage, weights, load_sums, h, m, None)
+    return _arrowhead(stage, weights, load_sums, h, m)
 
 
 def _tail_sums(r: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
@@ -363,7 +358,7 @@ def solve(system: ArrowheadSystem) -> StageSolution:
                          <= 1e-12)
     return StageSolution(stage=system.stage, m=system.m, h=system.h,
                          center=center, values=values,
-                         node_loads=system.node_loads, field=system.field)
+                         node_loads=system.node_loads)
 
 
 def _breakdown(message: str, ok) -> NumericalBreakdownError:

@@ -1,18 +1,20 @@
-"""Per-edge radial forcing fields and their Cesaro and angular averages.
+"""Per-edge radial forcing fields, their group limits and Cesaro averages.
 
-A field assigns to edge l a profile F_l(t) on [0,1]. Every built-in family
-except ``manufactured`` is A(l) sin(b(l) t) + c(l) and is declared once, by
-a function returning its per-edge coefficient arrays (A, b, c): the
-pointwise profile is derived from that declaration, and the load assembly
-reads it directly to share one hat-load row between all edges with the same
-frequency b. Group averaging is plain arithmetic over the edges of a
-coefficient group. Random families pre-draw their per-edge randomness at
-construction, so evaluation is pure and safe to share across threads.
+A field assigns to edge l a profile F_l(t) on [0,1]. Each built-in family
+is one record in ``FAMILIES``: its per-edge declaration, the limit forcing
+and zero-ended particular solution of each forcing class, and the curves
+the paper prints. ``builtin_field`` builds a field from the declaration;
+``upscale`` builds the limit problem and the derived oracle from the rest.
+Every family but ``manufactured`` is A(l) sin(b(l) t) + c(l), declared by
+its per-edge arrays (A, b, c), which the load assembly reads directly to
+share one hat-load row between all edges with the same frequency b. The
+radial classes of ex3, ex4 and ex5 are written once, in
+``RADIAL_CLASSES``. Random families pre-draw their per-edge randomness.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -25,8 +27,6 @@ PI = np.pi
 # 3-point Gauss-Legendre rule on [0,1]; used for every load integral
 GAUSS3_X = np.array([0.5 - 0.5 * np.sqrt(0.6), 0.5, 0.5 + 0.5 * np.sqrt(0.6)])
 GAUSS3_W = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
-
-FAMILY_IDS = ("ex1", "ex2", "ex3", "ex4", "ex5", "constant", "manufactured")
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,7 @@ class ForcingField:
     """Radial forcing indexed by edge.
 
     ``bounded_l2`` is a uniform bound on the per-edge L2 norms when one
-    exists. ``known_group_limit`` holds the closed-form Cesaro limit per
-    group when the family has one. ``profile(ells, t)`` evaluates a whole
+    exists. ``profile(ells, t)`` evaluates a whole
     block of edges at once. A sine family also carries its declaration
     ``sine_coeffs(ells) -> (A, b, c)`` (arrays or scalars per edge) of
     A sin(b s) + c, with s = t, or s = 1 - t under ``orientation`` "rim";
@@ -73,7 +72,6 @@ class ForcingField:
     seed: Optional[int]
     profile: Callable[[np.ndarray, np.ndarray], np.ndarray]
     bounded_l2: Optional[float] = None
-    known_group_limit: Optional[tuple] = None
     max_edge: Optional[int] = None
     sine_coeffs: Optional[Callable[[np.ndarray], tuple]] = None
 
@@ -109,16 +107,29 @@ def _sine_profile(coeffs):
     return profile
 
 
+#: (A, b) of the radial classes of ex3, ex4 and ex5: A sin(b t) with the
+#: first pair on every third edge (l = 3, 6, ...), the second elsewhere
+RADIAL_CLASSES = ((4 * PI**2, TWO_PI), (PI**2, PI))
+
+#: factor k of the manufactured forcing k g, by the same every-third-edge rule
+MANUFACTURED_K = (1.0, 2.0)
+
+
+def _by_class(ells, *pairs):
+    """Per pair, pair[0] on every third edge and pair[1] on the others."""
+    first = ells % 3 == 0
+    return tuple(np.where(first, a, b) for a, b in pairs)
+
+
+def _radial_groups(ells):
+    """(A, b) of the two-frequency radial part shared by ex3, ex4 and ex5."""
+    return _by_class(ells, *zip(*RADIAL_CLASSES))
+
+
 def _angular_ex3(ells):
     # sign alternates in blocks of six; magnitude is the mod-2*pi remainder,
     # which is bounded and Cesaro-null, unlike a literal l - floor(l/(2*pi))
     return (-1.0) ** (ells // 6) * 10.0 * np.mod(ells, TWO_PI)
-
-
-def _radial_groups(ells):
-    """(A, b) of the two-frequency radial part shared by ex3 and ex4."""
-    g1 = ells % 3 == 0
-    return np.where(g1, 4 * PI**2, PI**2), np.where(g1, TWO_PI, PI)
 
 
 _SQ2 = np.sqrt(2.0)
@@ -137,20 +148,152 @@ def manufactured_exact_deriv(t):
     return PI * np.cos(PI * t) * (1.0 - t) - np.sin(PI * t)
 
 
-def _validate_params(example_id: str, parameters: dict, allowed: set):
-    unknown = set(parameters) - allowed - {"orientation"}
-    if unknown:
-        raise InvalidArgumentError(
-            f"{example_id} does not take parameters {sorted(unknown)}")
-    orientation = parameters.get("orientation", "center")
-    if orientation not in ("center", "rim"):
-        raise InvalidArgumentError("orientation is 'center' or 'rim'")
-    return orientation
+# Per-family declarations: (parameters, seed) -> ForcingField keywords,
+# either ``sine_coeffs`` or ``profile``, plus ``bounded_l2`` and ``max_edge``.
+
+def _fixed(sine, bound):
+    """Declaration of a family without parameters."""
+    return lambda parameters, seed: dict(sine_coeffs=sine, bounded_l2=bound)
+
+
+def _ex1_sine(l):
+    return PI**2 * np.cos(l), PI, 0.0
+
+
+def _ex5_sine(l):
+    A, b = _radial_groups(l)
+    return A, b * l, 0.0
+
+
+def _ex2(parameters, seed):
+    noise = float(parameters.get("noise", 2.0))
+    if noise < 0:
+        raise InvalidArgumentError("noise amplitude must be >= 0")
+    if "n_edges" not in parameters:
+        raise InvalidArgumentError("ex2 needs n_edges to pre-draw its noise")
+    max_edge = int(parameters["n_edges"])
+    if max_edge < 1:
+        raise InvalidArgumentError("n_edges must be >= 1")
+    z = stage_rng(0 if seed is None else seed, max_edge).uniform(
+        -noise, noise, size=max_edge)
+    z.flags.writeable = False
+    return dict(sine_coeffs=lambda l: _ex1_sine(l)[:2] + (z[l - 1],),
+                bounded_l2=PI**2 / _SQ2 + noise, max_edge=max_edge)
+
+
+def _constant(parameters, seed):
+    c = float(parameters.get("c", 0.0))
+    return dict(sine_coeffs=lambda l: (0.0, 0.0, c), bounded_l2=abs(c))
+
+
+def _manufactured(parameters, seed):
+    coeffs = parameters.get("coeffs")
+    max_edge = None
+    if coeffs is None:
+        def kfun(l):
+            return _by_class(l, MANUFACTURED_K)[0]
+        kmax = max(MANUFACTURED_K)
+    else:
+        karr = np.asarray(coeffs, dtype=float)
+
+        def kfun(l):
+            return karr[l - 1]
+        kmax = float(karr.max())
+        max_edge = len(karr)
+
+    def profile(ells, t):
+        g = manufactured_profile(t)
+        return kfun(ells).reshape(ells.shape + (1,) * t.ndim) * g[None, ...]
+
+    tq = (np.arange(64)[:, None] + GAUSS3_X[None, :]).ravel() / 64
+    wq = np.tile(GAUSS3_W / 64, 64)
+    gnorm = float(np.sqrt(np.sum(wq * manufactured_profile(tq) ** 2)))
+    return dict(profile=profile, bounded_l2=kmax * gnorm, max_edge=max_edge)
+
+
+# Per-family limits: parameters -> one (forcing, particular) pair per
+# forcing class, the particular p solving -p'' = forcing, p(0) = p(1) = 0.
+# One class covers every edge; two split the edges by the every-third-edge
+# rule, so they are the groups of the deterministic coefficient rule.
+
+def _zero(t):
+    return np.zeros_like(np.asarray(t, dtype=float))
+
+
+def _sine_class(A, b):
+    """Forcing A sin(b t) and its zero-ended particular (A / b^2) sin(b t)."""
+    return (lambda t: A * np.sin(b * t), lambda t: A / b**2 * np.sin(b * t))
+
+
+_NULL_LIMIT = ((_zero, _zero),)
+_RADIAL_LIMIT = tuple(_sine_class(A, b) for A, b in RADIAL_CLASSES)
+
+
+def _constant_limit(parameters):
+    c = float(parameters.get("c", 0.0))
+    return ((lambda t: np.full_like(np.asarray(t, dtype=float), c),
+             lambda t: c * t * (1.0 - t) / 2),)
+
+
+def _manufactured_limit(parameters):
+    if parameters.get("coeffs") is not None:
+        return None  # explicit per-edge factors follow no class rule
+    return tuple((lambda t, k=k: k * manufactured_profile(t),
+                  lambda t, k=k: k * manufactured_exact(t))
+                 for k in MANUFACTURED_K)
+
+
+class Family(NamedTuple):
+    """One forcing family: its per-edge declaration and its group limit.
+
+    ``declare(parameters, seed)`` gives ForcingField keywords, ``params``
+    the parameters it takes besides ``orientation``. ``classes`` maps the
+    parameters to the forcing classes, or to None when the group averages
+    have no pointwise limit. ``printed``: published curves, t = 0 at center.
+    """
+
+    params: frozenset
+    declare: Callable
+    classes: Callable
+    printed: Optional[tuple] = None
+
+
+FAMILIES = {
+    "ex1": Family(frozenset(), _fixed(_ex1_sine, PI**2 / _SQ2),
+                  lambda p: _NULL_LIMIT, (_zero, _zero)),
+    "ex2": Family(frozenset({"noise", "n_edges"}), _ex2,
+                  lambda p: _NULL_LIMIT, (_zero, _zero)),
+    "ex3": Family(frozenset(), _fixed(
+                      lambda l: _radial_groups(l) + (_angular_ex3(l),),
+                      4 * PI**2 / _SQ2 + 20 * PI),
+                  lambda p: _RADIAL_LIMIT,
+                  (lambda t: np.sin(TWO_PI * t),
+                   lambda t: 0.5 * np.sin(PI * t))),
+    "ex4": Family(frozenset(), _fixed(
+                      lambda l: _radial_groups(l)
+                      + ((-1.0) ** l * np.sqrt(l.astype(float)),), None),
+                  lambda p: _RADIAL_LIMIT),
+    # b is an integer multiple of pi, so every edge norm is exactly A/sqrt(2)
+    "ex5": Family(frozenset(), _fixed(_ex5_sine, 4 * PI**2 / _SQ2),
+                  lambda p: None),
+    "constant": Family(frozenset({"c"}), _constant, _constant_limit),
+    "manufactured": Family(frozenset({"coeffs"}), _manufactured,
+                           _manufactured_limit),
+}
+
+FAMILY_IDS = tuple(FAMILIES)
+
+
+def family(example_id: str) -> Family:
+    """The record of a built-in family."""
+    if example_id not in FAMILIES:
+        raise InvalidArgumentError(f"unknown example id {example_id!r}")
+    return FAMILIES[example_id]
 
 
 def builtin_field(example_id: str, parameters: dict | None = None,
                   seed: int | None = None) -> ForcingField:
-    """Construct one of the built-in forcing families.
+    """Construct one of the built-in forcing families from its record.
 
     ``parameters`` per family: ex2 takes ``noise`` (uniform amplitude,
     default 2.0) and a required ``n_edges`` (randomness is pre-drawn);
@@ -160,113 +303,24 @@ def builtin_field(example_id: str, parameters: dict | None = None,
     from the rim is reproduced.
     """
     parameters = dict(parameters or {})
-    bounded = None
-    limits = None
-    max_edge = None
-    sine = None
-
-    if example_id == "ex1":
-        _validate_params(example_id, parameters, set())
-
-        def sine(l):
-            return PI**2 * np.cos(l), PI, 0.0
-
-        bounded = PI**2 / _SQ2
-        zero = np.zeros_like
-        limits = (lambda t: zero(t), lambda t: zero(t))
-    elif example_id == "ex2":
-        _validate_params(example_id, parameters, {"noise", "n_edges"})
-        noise = float(parameters.get("noise", 2.0))
-        if noise < 0:
-            raise InvalidArgumentError("noise amplitude must be >= 0")
-        if "n_edges" not in parameters:
-            raise InvalidArgumentError("ex2 needs n_edges to pre-draw its noise")
-        max_edge = int(parameters["n_edges"])
-        if max_edge < 1:
-            raise InvalidArgumentError("n_edges must be >= 1")
-        z = stage_rng(0 if seed is None else seed, max_edge).uniform(
-            -noise, noise, size=max_edge)
-        z.flags.writeable = False
-
-        def sine(l):
-            return PI**2 * np.cos(l), PI, z[l - 1]
-
-        bounded = PI**2 / _SQ2 + noise
-        zero = np.zeros_like
-        limits = (lambda t: zero(t), lambda t: zero(t))
-    elif example_id in ("ex3", "ex4"):
-        _validate_params(example_id, parameters, set())
-        angular = _angular_ex3 if example_id == "ex3" else (
-            lambda l: (-1.0) ** l * np.sqrt(l.astype(float)))
-
-        def sine(l):
-            return _radial_groups(l) + (angular(l),)
-
-        if example_id == "ex3":
-            bounded = 4 * PI**2 / _SQ2 + 20 * PI
-        limits = (lambda t: 4 * PI**2 * np.sin(TWO_PI * t),
-                  lambda t: PI**2 * np.sin(PI * t))
-    elif example_id == "ex5":
-        _validate_params(example_id, parameters, set())
-
-        def sine(l):
-            A, b = _radial_groups(l)
-            return A, b * l, 0.0
-
-        # b is an integer multiple of pi, so every edge norm is exactly A/sqrt(2)
-        bounded = 4 * PI**2 / _SQ2
-    elif example_id == "constant":
-        _validate_params(example_id, parameters, {"c"})
-        cval = float(parameters.get("c", 0.0))
-
-        def sine(l):
-            return 0.0, 0.0, cval
-
-        bounded = abs(cval)
-        limits = (lambda t: np.full_like(t, cval), lambda t: np.full_like(t, cval))
-    elif example_id == "manufactured":
-        _validate_params(example_id, parameters, {"coeffs"})
-        coeffs = parameters.get("coeffs")
-        if coeffs is None:
-            def kfun(l):
-                return np.where(l % 3 == 0, 1.0, 2.0)
-            kmax = 2.0
-        else:
-            karr = np.asarray(coeffs, dtype=float)
-
-            def kfun(l):
-                return karr[l - 1]
-            kmax = float(karr.max())
-            max_edge = len(karr)
-
-        def profile(ells, t, _k=kfun):
-            g = manufactured_profile(t)
-            return _k(ells).reshape(ells.shape + (1,) * t.ndim) * g[None, ...]
-
-        tq = (np.arange(64)[:, None] + GAUSS3_X[None, :]).ravel() / 64
-        wq = np.tile(GAUSS3_W / 64, 64)
-        gnorm = float(np.sqrt(np.sum(wq * manufactured_profile(tq) ** 2)))
-        bounded = kmax * gnorm
-        if coeffs is None:
-            # groups follow the deterministic rule, so the group averages
-            # are exactly K_i g
-            limits = (lambda t: 1.0 * manufactured_profile(t),
-                      lambda t: 2.0 * manufactured_profile(t))
-    else:
-        raise InvalidArgumentError(f"unknown example id {example_id!r}")
-
-    if sine is not None:
-        profile = _sine_profile(sine)
-    if parameters.get("orientation", "center") == "rim":
+    record = family(example_id)
+    unknown = set(parameters) - record.params - {"orientation"}
+    if unknown:
+        raise InvalidArgumentError(
+            f"{example_id} does not take parameters {sorted(unknown)}")
+    orientation = parameters.get("orientation", "center")
+    if orientation not in ("center", "rim"):
+        raise InvalidArgumentError("orientation is 'center' or 'rim'")
+    decl = record.declare(parameters, seed)
+    profile = decl.pop("profile", None) or _sine_profile(decl["sine_coeffs"])
+    if orientation == "rim":
         inner = profile
 
         def profile(ells, t, _inner=inner):
             return _inner(ells, 1.0 - t)
 
-    return ForcingField(family_id=example_id, parameters=parameters, seed=seed,
-                        profile=profile, bounded_l2=bounded,
-                        known_group_limit=limits, max_edge=max_edge,
-                        sine_coeffs=sine)
+    return ForcingField(family_id=example_id, parameters=parameters,
+                        seed=seed, profile=profile, **decl)
 
 
 def edge_load_moment(field: ForcingField, ell: int, panels: int = 64) -> float:
@@ -301,19 +355,3 @@ def cesaro_forcing_average(field: ForcingField, stage: StarStage, group: int,
     ells = np.flatnonzero(mask) + 1
     t = np.arange(m + 1) / m
     return GridFunction(m=m, values=field.values(ells, t).mean(axis=0))
-
-
-def angular_average(f: Callable[[float, float], float], t: float,
-                    count: int) -> float:
-    """Mean of f over the circle of radius t.
-
-    Trapezoid on the periodic circle, which is spectrally accurate for
-    smooth integrands, so a modest count suffices.
-    """
-    if not 0.0 <= t < 1.0:
-        raise InvalidArgumentError("radius t must lie in [0, 1)")
-    if count < 4:
-        raise InvalidArgumentError("quadrature count must be >= 4")
-    theta = TWO_PI * np.arange(count) / count
-    vals = [float(f(t * np.cos(a), t * np.sin(a))) for a in theta]
-    return float(np.mean(vals))

@@ -63,13 +63,6 @@ def vertex_angles(n: int) -> np.ndarray:
     return np.mod(np.arange(1, n + 1, dtype=float), TWO_PI)
 
 
-def coefficient_deterministic(ell: int) -> float:
-    """1 on every third edge, 2 otherwise."""
-    if ell < 1:
-        raise InvalidArgumentError("edge index starts at 1")
-    return 1.0 if ell % 3 == 0 else 2.0
-
-
 def coefficient_random(
     n: int,
     seed: int,
@@ -127,6 +120,20 @@ def group_star(coeffs) -> StarStage:
                      group_of=np.arange(1, g + 1),
                      group_values=tuple(coeffs.tolist()),
                      c_K=float(coeffs.min()))
+
+
+def group_shares(source: str, probs=GROUP_PROBS, values=GROUP_VALUES) -> tuple:
+    """Limiting fraction of the edges in each group under ``source``.
+
+    The deterministic rule gives every third edge the first value, so its
+    shares are GROUP_PROBS whatever ``probs`` says.
+    """
+    if source == "deterministic" and len(values) == 2:
+        return GROUP_PROBS
+    if source == "random":
+        return tuple(float(p) for p in probs)
+    raise InvalidArgumentError(
+        f"{source} coefficients have no shares for {len(values)} groups")
 
 
 def build_stage(

@@ -1,4 +1,4 @@
-"""The homogenized I-edge problem and its analytic reference registry.
+"""The homogenized I-edge problem and the references derived from it.
 
 The limit of the per-group Cesaro averages solves a small star problem
 with one edge per coefficient group, edge weight s_i K_i (share times
@@ -6,19 +6,23 @@ group value), forcing s_i Fbar_i, and center datum hbar. That problem is
 solved by the same structured elimination as any stage, with the weights
 folded into coefficients and loads; there is no separate small-problem
 code path.
+
+The limit problem, the derived oracle (particular_i / K_i + center_limit
+(1 - t)) and the printed curves all come from the family's record
+(``forcing.FAMILIES``) under the configured law: the source's shares,
+hbar = lim h/n, and 1 - t composed in under ``orientation`` "rim".
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .femsolve import StageSolution, solve_stage
-from .forcing import (GridFunction, ForcingField, manufactured_exact,
-                      manufactured_profile, profile_moment)
-from .stargraph import GROUP_PROBS, GROUP_VALUES, group_star
+from .femsolve import solve_stage
+from .forcing import GridFunction, ForcingField, family, profile_moment
+from .stargraph import GROUP_PROBS, GROUP_VALUES, group_shares, group_star
 
 PI = np.pi
 
@@ -70,7 +74,6 @@ class HomogenizedSolution:
     m: int
     center: float
     grids: tuple
-    raw: StageSolution
 
     def edge_flux(self, i: int) -> float:
         """K_i times the discrete slope of pbar_i at the center."""
@@ -107,7 +110,7 @@ def solve_upscaled(problem: UpscaledProblem, m: int) -> HomogenizedSolution:
     sol = solve_stage(stage, _upscaled_field(problem), problem.hbar, m)
     grids = tuple(GridFunction(m=m, values=sol.values[i]) for i in range(I))
     return HomogenizedSolution(problem=problem, m=m, center=sol.center,
-                               grids=grids, raw=sol)
+                               grids=grids)
 
 
 def center_limit(problem: UpscaledProblem) -> float:
@@ -125,63 +128,64 @@ def predicted_edge_flux(problem: UpscaledProblem, i: int) -> float:
     return profile_moment(problem.fbar[i - 1]) - problem.K[i - 1] * center_limit(problem)
 
 
-def build_upscaled(example_id: str, parameters: dict | None = None,
-                   probs: Sequence[float] = GROUP_PROBS,
-                   values: Sequence[float] = GROUP_VALUES) -> UpscaledProblem:
-    """Limit problem for a built-in family under the two-group coefficient law.
+def datum_limit(h) -> float:
+    """hbar = lim h(n)/n of a stage datum ``h``, a number or a function of n.
 
-    ex5 has no pointwise group limit (its frequencies grow with the edge
-    index), so it has no upscaled problem here.
+    A number gives 0; a function is taken as affine (``h = a`` or ``h =
+    b*n`` in a config), so its limit is the slope h(2) - h(1), exact there.
+    """
+    if not callable(h):
+        return 0.0
+    return float(h(2)) - float(h(1))
+
+
+def _rim(curves: Sequence[Callable], parameters: dict) -> tuple:
+    """The curves composed with 1 - t under ``orientation`` "rim"."""
+    if parameters.get("orientation", "center") != "rim":
+        return tuple(curves)
+    return tuple(lambda t, f=f: f(1.0 - np.asarray(t, dtype=float))
+                 for f in curves)
+
+
+def _limit(example_id: str, parameters: dict | None, probs, values,
+           coeff: str, h):
+    """The limit problem, each group's particular, and the printed curves.
+
+    One forcing class serves every group; two are the groups of the
+    deterministic rule, and random coefficients mix them in every group.
     """
     parameters = dict(parameters or {})
-    zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-    if example_id in ("ex1", "ex2"):
-        fbar = (zero,) * len(tuple(probs))
-        hbar = 0.0
-    elif example_id in ("ex3", "ex4"):
-        fbar = (lambda t: 4 * PI**2 * np.sin(2 * PI * t),
-                lambda t: PI**2 * np.sin(PI * t))
-        hbar = 0.0
-    elif example_id == "constant":
-        c = float(parameters.get("c", 0.0))
-        fbar = tuple(lambda t, _c=c: np.full_like(np.asarray(t, dtype=float), _c)
-                     for _ in tuple(probs))
-        hbar = 0.0
-    elif example_id == "manufactured":
-        fbar = tuple(lambda t, _k=k: _k * manufactured_profile(t) for k in values)
-        hbar = -PI * float(np.dot(probs, values))
-    else:
+    record = family(example_id)
+    classes = record.classes(parameters)
+    if classes is None:
         raise InvalidArgumentError(
-            f"no known upscaled problem for example {example_id!r}")
-    return UpscaledProblem(s=tuple(probs), K=tuple(values), fbar=fbar, hbar=hbar)
+            f"{example_id} has no pointwise group limit")
+    shares = group_shares(coeff, probs, values)
+    if len(classes) == 1:
+        classes = classes * len(shares)
+    elif coeff != "deterministic":
+        raise InvalidArgumentError(
+            f"{example_id} splits its forcing by edge index, so under "
+            f"{coeff} coefficients every group mixes its classes and has no "
+            f"reference; use coeff = deterministic")
+    problem = UpscaledProblem(s=shares, K=tuple(values),
+                              fbar=_rim([f for f, _ in classes], parameters),
+                              hbar=datum_limit(h))
+    printed = record.printed and _rim(record.printed, parameters)
+    return problem, _rim([p for _, p in classes], parameters), printed
 
 
-@dataclass(frozen=True)
-class OracleEntry:
-    """Registered exact limit solutions for one example.
+def build_upscaled(example_id: str, parameters: dict | None = None,
+                   probs: Sequence[float] = GROUP_PROBS,
+                   values: Sequence[float] = GROUP_VALUES, *,
+                   coeff: str = "deterministic", h=0.0) -> UpscaledProblem:
+    """Limit problem of a built-in family under the configured law.
 
-    ``printed`` holds reference curves exactly as published when the source
-    prints any; ``derived`` is the pair consistent with the weighted center
-    flux balance under the t=0-at-center convention. ``consistent`` records
-    whether the printed pair passes that balance check; when it does not,
-    both are kept so a table harness can report against each.
+    Shares from ``group_shares``, forcings from the family's record, hbar
+    from ``datum_limit``. ex5 has no pointwise group limit (its frequencies
+    grow with the edge index), so it has no upscaled problem.
     """
-
-    example_id: str
-    derived: tuple
-    printed: Optional[tuple] = None
-    consistent: bool = True
-    note: str = ""
-
-    def reference(self, which: str) -> tuple:
-        if which == "derived":
-            return self.derived
-        if which == "printed":
-            if self.printed is None:
-                raise InvalidArgumentError(
-                    f"{self.example_id} has no printed reference curves")
-            return self.printed
-        raise InvalidArgumentError("reference is 'derived' or 'printed'")
+    return _limit(example_id, parameters, probs, values, coeff, h)[0]
 
 
 def weighted_flux_defect(problem: UpscaledProblem,
@@ -195,50 +199,36 @@ def weighted_flux_defect(problem: UpscaledProblem,
     return abs(total)
 
 
-def analytic_oracle(example_id: str,
-                    parameters: dict | None = None) -> Optional[OracleEntry]:
-    """Exact limit curves for the examples that have them, else None.
+def analytic_oracle(example_id: str, parameters: dict | None = None,
+                    probs: Sequence[float] = GROUP_PROBS,
+                    values: Sequence[float] = GROUP_VALUES, *,
+                    coeff: str = "deterministic", h=0.0) -> tuple:
+    """Exact limit curve of each group, derived from the family's record.
 
-    For ex3 the published pair fails the weighted flux balance at the
-    center under the fixed orientation (defect 4 pi / 3), so it is returned
-    flagged, next to the corrected pair obtained by adding the affine part
-    (4 pi / 5)(1 - t) that restores the balance.
+    Group i solves -K_i p'' = Fbar_i with p(1) = 0 and the limiting center
+    value v at t = 0, so p_i = particular_i / K_i + v (1 - t), with v from
+    the weighted flux balance (``center_limit``). Raises for a family or a
+    law with no limit, as ``build_upscaled`` does.
     """
-    parameters = dict(parameters or {})
-    zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-    if example_id in ("ex1", "ex2"):
-        return OracleEntry(example_id=example_id, derived=(zero, zero),
-                           printed=(zero, zero), consistent=True,
-                           note="group averages vanish in the limit")
-    if example_id in ("ex3", "ex4"):
-        printed = (lambda t: np.sin(2 * PI * t),
-                   lambda t: 0.5 * np.sin(PI * t))
-        v = 4 * PI / 5
-        derived = (lambda t: np.sin(2 * PI * t) + v * (1.0 - t),
-                   lambda t: 0.5 * np.sin(PI * t) + v * (1.0 - t))
-        problem = build_upscaled("ex3")
-        consistent = weighted_flux_defect(problem, printed) <= 1e-6
-        if example_id == "ex4":
-            return OracleEntry(example_id="ex4", derived=derived,
-                               note="same limit problem as ex3")
-        return OracleEntry(example_id="ex3", derived=derived, printed=printed,
-                           consistent=consistent,
-                           note="printed pair violates the weighted flux "
-                                "balance; see the corrected pair")
-    if example_id == "constant":
-        c = float(parameters.get("c", 0.0))
-        problem = build_upscaled("constant", {"c": c})
-        v = center_limit(problem)
+    problem, particulars, _ = _limit(example_id, parameters, probs, values,
+                                     coeff, h)
+    v = center_limit(problem)
+    return tuple(lambda t, p=p, k=k: p(t) / k + v * (1.0 - t)
+                 for p, k in zip(particulars, problem.K))
 
-        def make(i):
-            k = problem.K[i]
-            return lambda t: c * (1.0 - t * t) / (2 * k) + (v - c / (2 * k)) * (1.0 - t)
 
-        derived = tuple(make(i) for i in range(problem.groups))
-        return OracleEntry(example_id="constant", derived=derived,
-                           printed=derived, consistent=True)
-    if example_id == "manufactured":
-        derived = (manufactured_exact, manufactured_exact)
-        return OracleEntry(example_id="manufactured", derived=derived,
-                           printed=derived, consistent=True)
-    return None
+def printed_curves(example_id: str, parameters: dict | None = None,
+                   probs: Sequence[float] = GROUP_PROBS,
+                   values: Sequence[float] = GROUP_VALUES, *,
+                   coeff: str = "deterministic") -> tuple:
+    """The group curves as the paper prints them, in the given orientation.
+
+    The ex3 pair fails the weighted flux balance at the center (defect
+    4 pi / 3, ``weighted_flux_defect``); the derived oracle restores it.
+    The law must admit a limit, as for ``build_upscaled``.
+    """
+    printed = _limit(example_id, parameters, probs, values, coeff, 0.0)[2]
+    if printed is None:
+        raise InvalidArgumentError(
+            f"{example_id} has no printed reference curves")
+    return printed

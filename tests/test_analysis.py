@@ -11,6 +11,7 @@ from starfem import (
     GridFunction,
     InvalidArgumentError,
     NumericalBreakdownError,
+    StageSolution,
     UndefinedRateError,
     build_stage,
     builtin_field,
@@ -33,6 +34,7 @@ from starfem import analysis, femsolve
 from starfem.analysis import group_average_sweep
 from starfem.expcli import main
 from starfem.femsolve import center_identity_residual
+from starfem.stargraph import group_star
 
 PI = np.pi
 
@@ -182,6 +184,25 @@ class TestStageRunner:
         assert np.array_equal(sol.values, direct.values)
 
 
+def _stages(chunks):
+    """(n, counts, center, averages, sums) of each stage of a sweep."""
+    for stages, counts, centers, averages, sums in chunks:
+        yield from zip(stages, counts, centers, averages, sums)
+
+
+def _reduced_identity(counts, center, sums, h, m, values=(1.0, 2.0)):
+    """Center identity of a stage's group-reduced system, from the arrays.
+
+    The reduced system has edge coefficients n_i K_i and the group load
+    sums, so its identity is center sum(n_i K_i) = h + sum of the moments.
+    """
+    reduced = StageSolution(stage=group_star(counts * np.asarray(values)),
+                            m=m, h=h, center=center,
+                            values=np.zeros((len(counts), m + 1)),
+                            node_loads=sums)
+    return center_identity_residual(reduced)
+
+
 class TestGroupAverageSweep:
     """The reduced sweep against full stage solves plus group averaging."""
 
@@ -198,20 +219,24 @@ class TestGroupAverageSweep:
         params = dict(params, orientation=orientation)
         h_of = (lambda n: 0.25 * n) if h == "linear" else (lambda n: h)
         m = 12
-        sweep = list(group_average_sweep(family, self.STAGES, m, coeff=coeff,
-                                         seed=3, parameters=params, h=h_of))
-        assert [a.n for a in sweep] == list(self.STAGES)
-        for avg in sweep:
-            sol = solve_example_stage(family, avg.n, m, coeff=coeff, seed=3,
-                                      parameters=params, h=h_of(avg.n))
+        sweep = list(_stages(group_average_sweep(
+            family, self.STAGES, m, coeff=coeff, seed=3, parameters=params,
+            h=h_of)))
+        assert [s[0] for s in sweep] == list(self.STAGES)
+        for n, counts, center, averages, sums in sweep:
+            sol = solve_example_stage(family, n, m, coeff=coeff, seed=3,
+                                      parameters=params, h=h_of(n))
             refs = [cesaro_solution_average(sol, i) for i in (1, 2)]
             scale = max(np.max(np.abs(r.values)) for r in refs)
-            for got, ref in zip(avg.averages, refs):
-                assert np.max(np.abs(got.values - ref.values)) <= 1e-11 * scale
-            assert abs(avg.reduced.center - sol.center) <= 1e-11 * scale
+            assert counts.tolist() == [int(sol.stage.group_mask(i).sum())
+                                       for i in (1, 2)]
+            for got, ref in zip(averages, refs):
+                assert np.max(np.abs(got - ref.values)) <= 1e-11 * scale
+            assert abs(center - sol.center) <= 1e-11 * scale
             # roundoff: normalized by the group-summed moments, which
             # cancel more than the per-edge ones of the full stage
-            assert center_identity_residual(avg.reduced) <= 1e-12
+            assert _reduced_identity(counts, center, sums, h_of(n), m) \
+                <= 1e-12
 
     @pytest.mark.parametrize("family,coeff", [("ex5", "random"),
                                               ("ex2", "deterministic")])
@@ -231,23 +256,24 @@ class TestGroupAverageSweep:
 
         monkeypatch.setattr(analysis, "group_load_sums", spy)
         m = 12
-        sweep = list(group_average_sweep(family, stages, m, coeff=coeff,
-                                         seed=5, h=0.3))
-        assert [a.n for a in sweep] == list(stages)
+        chunks = list(group_average_sweep(family, stages, m, coeff=coeff,
+                                          seed=5, h=0.3))
+        assert len(chunks) == (len(stages) if family == "ex2" else 3)
+        sweep = list(_stages(chunks))
+        assert [s[0] for s in sweep] == list(stages)
         assert max(segments) >= (2 if family == "ex5" else 1)
-        for avg in sweep:
-            sol = solve_example_stage(family, avg.n, m, coeff=coeff, seed=5,
+        for n, counts, center, averages, _ in sweep:
+            sol = solve_example_stage(family, n, m, coeff=coeff, seed=5,
                                       h=0.3)
             refs = [cesaro_solution_average(sol, i) if sol.stage.group_mask(i)
                     .any() else None for i in (1, 2)]
             scale = max(np.max(np.abs(r.values)) for r in refs
                         if r is not None)
-            for got, ref in zip(avg.averages, refs):
-                assert (got is None) == (ref is None)
+            for count, got, ref in zip(counts, averages, refs):
+                assert (count == 0) == (ref is None)
                 if ref is not None:
-                    assert np.max(np.abs(got.values - ref.values)) \
-                        <= 1e-11 * scale
-            assert abs(avg.reduced.center - sol.center) <= 1e-11 * scale
+                    assert np.max(np.abs(got - ref.values)) <= 1e-11 * scale
+            assert abs(center - sol.center) <= 1e-11 * scale
 
     def test_stages_with_different_empty_groups_share_a_chunk(self,
                                                               monkeypatch):
@@ -263,23 +289,26 @@ class TestGroupAverageSweep:
         monkeypatch.setattr(analysis, "solve", spy)
         stages = (2, 3, 4, 5, 6, 7)
         m = 10
-        sweep = list(group_average_sweep("ex1", stages, m, h=0.4))
+        chunks = list(group_average_sweep("ex1", stages, m, h=0.4))
         assert sorted(stacks) == [(1, 1), (5, 2)]
-        assert [a.n for a in sweep] == list(stages)
-        for avg in sweep:
-            sol = solve_example_stage("ex1", avg.n, m, h=0.4)
+        assert len(chunks) == 1
+        ns, counts, centers, averages, sums = chunks[0]
+        assert ns.tolist() == list(stages)
+        assert counts.shape == (6, 2) and centers.shape == (6,)
+        assert averages.shape == sums.shape == (6, 2, m + 1)
+        for n, count, center, avgs, stage_sums in _stages(chunks):
+            sol = solve_example_stage("ex1", n, m, h=0.4)
             refs = [cesaro_solution_average(sol, i) if sol.stage.group_mask(i)
                     .any() else None for i in (1, 2)]
             scale = max(np.max(np.abs(r.values)) for r in refs
                         if r is not None)
-            for got, ref in zip(avg.averages, refs):
-                assert (got is None) == (ref is None)
+            for k, got, ref in zip(count, avgs, refs):
+                assert (k == 0) == (ref is None)
                 if ref is not None:
-                    assert np.max(np.abs(got.values - ref.values)) \
-                        <= 1e-11 * scale
-            assert abs(avg.reduced.center - sol.center) <= 1e-11 * scale
-            assert avg.reduced.stage.n == len(avg.reduced.values)
-            assert center_identity_residual(avg.reduced) <= 1e-12
+                    assert np.max(np.abs(got - ref.values)) <= 1e-11 * scale
+            assert abs(center - sol.center) <= 1e-11 * scale
+            assert _reduced_identity(count, center, stage_sums, 0.4, m) \
+                <= 1e-12
 
     def test_a_stage_failing_the_gate_is_named(self, monkeypatch):
         # stage 2 is a stack of its own (no group-1 edge); the second stage
@@ -304,11 +333,13 @@ class TestGroupAverageSweep:
         with pytest.raises(NumericalBreakdownError, match=r"^stages n=10\.\.20:"):
             list(group_average_sweep("ex1", [10, 15, 20], 8))
 
-    def test_empty_group_reads_none(self):
+    def test_empty_group_reads_a_zero_count(self):
         # the deterministic rule has no group-1 edge before edge 3
-        first, later = group_average_sweep("ex1", [2, 3], 8)
-        assert first.averages[0] is None and later.averages[0] is not None
-        assert first.reduced.values.shape == (1, 9)
+        (ns, counts, _, averages, sums), = group_average_sweep("ex1", [2, 3],
+                                                               8)
+        assert counts.tolist() == [[0, 2], [1, 2]]
+        assert not averages[0, 0].any() and not sums[0, 0].any()
+        assert averages[1, 0].any()
 
     def test_stages_validated(self):
         for stages in ([10, 10], [1, 5]):

@@ -1,5 +1,6 @@
 """Config parsing, CSV emission, exit codes, reproducibility."""
 
+import csv
 import os
 import subprocess
 import sys
@@ -7,11 +8,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from starfem import (ExperimentConfig, edge_identity_residual, parse_config,
                      run, solve_example_stage)
 from starfem.errors import ConfigError
-from starfem.expcli import FLOAT_FMT, main
+from starfem.expcli import FLOAT_FMT, _validate, main
 
 BASE = "example=ex1\nstages=4,8\nmesh=8\n"
 
@@ -289,6 +292,49 @@ class TestMain:
         assert peak < 2**20
         assert not out.exists()
 
+    @pytest.mark.parametrize("lines", [
+        "orientation=rim\nreference=upscaled",
+        "probs=0.5,0.5\nreference=upscaled",
+        "values=1,3\nreference=oracle",
+        "h=0.5*n\nreference=upscaled",
+        "coeff=random\nreference=upscaled",
+    ])
+    def test_references_follow_the_configured_law(self, tmp_path, capsys,
+                                                  lines):
+        # each case once plateaued at an L2 error of 0.17 to 2.4 against a
+        # reference built for the default law; the limit of index-split
+        # forcing under random coefficients mixes both classes in every
+        # group, and no reference is offered for it
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"example=ex3\nstages=100,1000,10000\nmesh=100\n"
+                       f"{lines}\n")
+        out = tmp_path / "t.csv"
+        code = main(["table", "--config", str(cfg), "--out", str(out)])
+        if "random" in lines:
+            assert code == 2
+            assert "random" in capsys.readouterr().err
+            assert not out.exists()
+            return
+        assert code == 0
+        with open(out, encoding="utf-8") as fh:
+            rows = list(csv.DictReader(line for line in fh
+                                       if not line.startswith("#")))
+        last = [float(r["l2_error"]) for r in rows if r["n"] == "10000"]
+        assert len(last) == 2 and max(last) < 1e-2
+
+    def test_non_finite_row_refused_before_writing(self, tmp_path, capsys):
+        # a group value of 1e-300 makes a ~1e300 group average whose norm
+        # overflows; the solve itself passes its gate
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("example=ex1\nstages=10,20\nmesh=8\n"
+                       "values=1e-300,2\n")
+        out = tmp_path / "t.csv"
+        assert main(["table", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "row 1" in err and "l2_error=inf" in err
+        assert not out.exists()
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_unwritable_path_exit_code(self, tmp_path, capsys):
         code = main(["weyl", "--n", "5",
                      "--out", str(tmp_path / "no" / "dir" / "w.csv")])
@@ -346,3 +392,78 @@ class TestMain:
             env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+_TOKENS = st.sampled_from([
+    "example", "emit", "stages", "centers", "n", "window", "mesh", "coeff",
+    "probs", "values", "seed", "h", "reference", "out", "noise", "c",
+    "orientation", "interval", "errors", "full_h1", "timestamp", "threads",
+    "ex1", "ex3", "constant", "table", "cauchy", "random", "rim", "pi",
+    "2pi", "true", "0", "1", "-1", "2", "10,20", "0.5,0.5", "1e400", "nan",
+    "*n", "0.5*n", "=", ",", "#", " ", "\n",
+])
+
+
+class TestConfigProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.one_of(
+        st.text(max_size=80),
+        st.lists(_TOKENS, max_size=24).map("".join),
+        st.lists(st.tuples(_TOKENS, _TOKENS), max_size=8).map(
+            lambda pairs: "example=ex1\n" + "".join(
+                f"{k}={v}\n" for k, v in pairs)),
+    ))
+    def test_any_text_parses_or_raises_config_error(self, text):
+        try:
+            cfg = parse_config(text)
+        except ConfigError:
+            return
+        assert isinstance(cfg, ExperimentConfig)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        example=st.sampled_from(["ex1", "ex2", "ex3", "ex4", "ex5",
+                                 "constant", "manufactured"]),
+        emit=st.sampled_from(["table", "cauchy", "solution", "weyl",
+                              "identity", "upscaled", "rate"]),
+        stages=st.lists(st.integers(2, 10**6), min_size=1, max_size=5,
+                        unique=True).map(sorted),
+        centers=st.lists(st.integers(6, 10**5), min_size=1, max_size=4,
+                         unique=True).map(sorted),
+        sizes=st.tuples(st.integers(1, 1000), st.integers(2, 50),
+                        st.integers(2, 400)),
+        coeff=st.sampled_from(["deterministic", "random"]),
+        law=st.sampled_from([((1 / 3, 2 / 3), (1.0, 2.0)),
+                             ((0.25, 0.75), (0.5, 3.0)),
+                             ((0.2, 0.3, 0.5), (1.0, 2.0, 4.0))]),
+        seed=st.integers(0, 2**64 - 1),
+        h=st.tuples(st.floats(-1e6, 1e6, allow_subnormal=False),
+                    st.booleans()),
+        reference=st.sampled_from(["oracle", "printed", "upscaled"]),
+        noise=st.one_of(st.just(-1.0), st.floats(0, 10)),
+        c=st.floats(-1e3, 1e3),
+        orientation=st.sampled_from(["center", "rim"]),
+        interval=st.tuples(st.floats(0, 3), st.floats(3.5, 2 * np.pi)),
+        errors=st.lists(st.floats(-1, 1), max_size=6).map(tuple),
+        full_h1=st.booleans(),
+    )
+    def test_normalized_line_parses_back(self, example, emit, stages,
+                                         centers, sizes, coeff, law, seed,
+                                         h, reference, noise, c, orientation,
+                                         interval, errors, full_h1):
+        n, window, mesh = sizes
+        cfg = ExperimentConfig(
+            example=example, emit=emit, stages=tuple(stages),
+            centers=tuple(centers), n=n, window=window, mesh=mesh,
+            coeff=coeff, probs=law[0], values=law[1], seed=seed,
+            h_coeff=h[0], h_linear=h[1], reference=reference, noise=noise,
+            c=c, orientation=orientation, interval=interval, errors=errors,
+            full_h1=full_h1)
+        try:
+            _validate(cfg)
+        except ConfigError:
+            assume(False)  # over the size budget
+        parts = [p for p in cfg.normalized().split()
+                 if not p.startswith("prng=")]
+        assert parse_config("\n".join(parts)) == cfg
+

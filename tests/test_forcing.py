@@ -10,7 +10,6 @@ from starfem import (
     EmptyGroupError,
     GridFunction,
     InvalidArgumentError,
-    angular_average,
     build_stage,
     builtin_field,
     cesaro_forcing_average,
@@ -19,7 +18,7 @@ from starfem import (
     manufactured_profile,
     profile_moment,
 )
-from starfem.forcing import FAMILY_IDS
+from starfem.forcing import FAMILIES, FAMILY_IDS
 
 PI = np.pi
 
@@ -154,7 +153,7 @@ def test_growing_frequency_family_formula():
     t = 0.41
     assert f.eval(6, t) == pytest.approx(4 * PI**2 * np.sin(2 * PI * 6 * t))
     assert f.eval(5, t) == pytest.approx(PI**2 * np.sin(PI * 5 * t))
-    assert f.known_group_limit is None
+    assert FAMILIES["ex5"].classes({}) is None
 
 
 def test_constant_family():
@@ -180,7 +179,7 @@ def test_manufactured_field_scales_with_coefficients():
     assert f.eval(1, 0.3) == pytest.approx(2 * manufactured_profile(t)[0])
     g = builtin_field("manufactured", {"coeffs": [5.0, 0.5]})
     assert g.eval(1, 0.3) == pytest.approx(5 * manufactured_profile(t)[0])
-    assert g.known_group_limit is None
+    assert FAMILIES["manufactured"].classes({"coeffs": [5.0, 0.5]}) is None
     with pytest.raises(InvalidArgumentError):
         g.values(np.array([3]), t)
 
@@ -280,7 +279,7 @@ class TestCesaroForcingAverage:
 
     def test_two_frequency_average_approaches_radial_limit(self):
         f = builtin_field("ex3")
-        lim1, lim2 = f.known_group_limit
+        (lim1, _), (lim2, _) = FAMILIES["ex3"].classes({})
         m = 16
         t = np.arange(m + 1) / m
         dist = []
@@ -297,7 +296,7 @@ def test_forcing_average_distance_ladder_is_monotone_with_slack():
     # shrinks (10% slack for equidistribution wobble) or has already
     # collapsed by an order of magnitude
     f = builtin_field("ex1")
-    lim = f.known_group_limit[1]
+    (lim, _), = FAMILIES["ex1"].classes({})
     m = 32
     t = np.arange(m + 1) / m
     d = [np.max(np.abs(cesaro_forcing_average(f, build_stage(n), 2, m).values
@@ -307,17 +306,36 @@ def test_forcing_average_distance_ladder_is_monotone_with_slack():
         assert d[k + 1] <= 1.1 * d[k] or d[k + 1] <= 0.1 * d[0]
 
 
-class TestAngularAverage:
-    def test_constant_function(self):
-        assert angular_average(lambda x, y: 3.0, 0.5, 16) == pytest.approx(3.0)
+class TestFamilyRecord:
+    def test_every_family_has_a_record(self):
+        assert set(FAMILIES) == set(FAMILY_IDS)
 
-    def test_harmonic_mean_value_property(self):
-        # mean of x^2 - y^2 over any centered circle is zero
-        val = angular_average(lambda x, y: x * x - y * y, 0.7, 64)
-        assert abs(val) < 1e-12
+    @pytest.mark.parametrize("example,params", [
+        ("ex1", {}), ("ex3", {}), ("constant", {"c": -1.5}),
+        ("manufactured", {}),
+    ])
+    def test_particular_solves_its_class(self, example, params):
+        # -p'' = forcing with p(0) = p(1) = 0, by central differences
+        t = np.linspace(0.05, 0.95, 19)
+        d = 1e-4
+        for forcing, p in FAMILIES[example].classes(params):
+            assert p(0.0) == pytest.approx(0.0, abs=1e-12)
+            assert p(1.0) == pytest.approx(0.0, abs=1e-12)
+            lap = (p(t - d) - 2 * p(t) + p(t + d)) / d**2
+            scale = 1.0 + np.max(np.abs(forcing(t)))
+            assert np.allclose(-lap, forcing(t), atol=1e-5 * scale)
 
-    def test_radius_and_count_validated(self):
-        with pytest.raises(InvalidArgumentError):
-            angular_average(lambda x, y: 1.0, 1.0, 16)
-        with pytest.raises(InvalidArgumentError):
-            angular_average(lambda x, y: 1.0, 0.5, 3)
+    @pytest.mark.parametrize("example", ["ex3", "ex4", "manufactured"])
+    def test_index_split_families_follow_every_third_edge(self, example):
+        # the declaration's per-edge forcing is the limit forcing of the
+        # edge's class (up to the angular offset, which is constant in t)
+        f = builtin_field(example)
+        t = np.linspace(0, 1, 9)
+        ells = np.arange(1, 13)
+        vals = f.values(ells, t)
+        vals = vals - vals[:, :1]
+        classes = FAMILIES[example].classes({})
+        for k, ell in enumerate(ells):
+            forcing = classes[0 if ell % 3 == 0 else 1][0]
+            assert np.allclose(vals[k], forcing(t) - forcing(t[0]),
+                               atol=1e-12)

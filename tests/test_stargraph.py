@@ -11,11 +11,11 @@ from starfem import (
     TWO_PI,
     InvalidArgumentError,
     build_stage,
-    coefficient_deterministic,
     coefficient_random,
     group_stats,
     vertex_angles,
 )
+from starfem.stargraph import group_shares
 
 
 def test_vertex_angles_are_indices_mod_two_pi():
@@ -38,15 +38,23 @@ def test_vertex_angles_rejects_empty_star():
 
 
 @pytest.mark.parametrize("ell,expected", [
-    (1, 2.0), (2, 2.0), (3, 1.0), (4, 2.0), (6, 1.0), (300, 1.0), (301, 2.0),
+    (1, 2.0), (2, 2.0), (3, 1.0), (4, 2.0), (6, 1.0), (11, 2.0), (12, 1.0),
 ])
 def test_deterministic_rule_marks_every_third_edge(ell, expected):
-    assert coefficient_deterministic(ell) == expected
+    stage = build_stage(12)
+    assert stage.coeffs[ell - 1] == expected
+    assert stage.group_of[ell - 1] == (1 if expected == 1.0 else 2)
 
 
-def test_deterministic_rule_rejects_zero_index():
+def test_deterministic_shares_ignore_probs():
+    # every third edge takes the first value, whatever probs says; the
+    # shares are the exact GROUP_PROBS floats (1 - 1/3 != 2/3 in float64)
+    assert group_shares("deterministic", (0.5, 0.5)) == GROUP_PROBS
+    assert group_shares("random", (0.5, 0.5)) == (0.5, 0.5)
     with pytest.raises(InvalidArgumentError):
-        coefficient_deterministic(0)
+        group_shares("deterministic", (0.2, 0.3, 0.5), (1.0, 2.0, 3.0))
+    with pytest.raises(InvalidArgumentError):
+        group_shares("explicit")
 
 
 def test_random_coefficients_are_prefix_stable():

@@ -17,6 +17,8 @@ from starfem import (
     solve_upscaled,
     weighted_flux_defect,
 )
+from starfem.forcing import FAMILIES
+from starfem.upscale import datum_limit, printed_curves
 
 PI = np.pi
 
@@ -77,8 +79,12 @@ class TestRegistry:
             build_upscaled("ex5")
 
     def test_manufactured_datum_balances_the_groups(self):
-        p = build_upscaled("manufactured")
-        assert p.hbar == pytest.approx(-PI * (1 / 3 * 1.0 + 2 / 3 * 2.0))
+        # the datum that makes sin(pi t)(1 - t) exact is h = -pi sum K,
+        # so its limit per edge is -pi sum s_i K_i
+        balance = -PI * (1 / 3 * 1.0 + 2 / 3 * 2.0)
+        p = build_upscaled("manufactured", h=lambda n: balance * n)
+        assert p.hbar == pytest.approx(balance)
+        assert build_upscaled("manufactured").hbar == 0.0
 
 
 class TestCenterLimit:
@@ -93,8 +99,9 @@ class TestCenterLimit:
         assert center_limit(p) == pytest.approx((2.0 / 2) / (5 / 3), abs=1e-13)
 
     def test_manufactured_center_vanishes(self):
-        assert center_limit(build_upscaled("manufactured")) == pytest.approx(
-            0.0, abs=1e-12)
+        balance = -PI * (1 / 3 * 1.0 + 2 / 3 * 2.0)
+        p = build_upscaled("manufactured", h=lambda n: balance * n)
+        assert center_limit(p) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_adaptive_quadrature(self):
         p = _two_group()
@@ -160,7 +167,7 @@ class TestSolveUpscaled:
     def test_solution_matches_derived_curves(self):
         p = build_upscaled("ex3")
         hom = solve_upscaled(p, 200)
-        derived = analytic_oracle("ex3").derived
+        derived = analytic_oracle("ex3")
         for i in (0, 1):
             ref = sample_grid(derived[i], 200)
             l2, h1 = grid_norms(hom.grids[i], ref)
@@ -170,46 +177,119 @@ class TestSolveUpscaled:
     def test_constant_family_closed_form(self):
         p = build_upscaled("constant", {"c": 2.0})
         hom = solve_upscaled(p, 100)
-        derived = analytic_oracle("constant", {"c": 2.0}).derived
+        derived = analytic_oracle("constant", {"c": 2.0})
         for i in (0, 1):
             ref = sample_grid(derived[i], 100)
             assert np.max(np.abs(hom.grids[i].values - ref.values)) <= 1e-11
 
 
 class TestOracle:
-    def test_unregistered_example_returns_none(self):
-        assert analytic_oracle("ex5") is None
+    def test_example_without_a_limit_has_no_oracle(self):
+        with pytest.raises(InvalidArgumentError):
+            analytic_oracle("ex5")
 
     def test_null_families_are_consistent(self):
-        entry = analytic_oracle("ex1")
-        assert entry.consistent
-        assert entry.reference("printed") is entry.printed
+        p = build_upscaled("ex1")
+        t = np.linspace(0, 1, 7)
+        for curves in (analytic_oracle("ex1"), printed_curves("ex1")):
+            assert all(np.all(f(t) == 0.0) for f in curves)
+            assert weighted_flux_defect(p, curves) == 0.0
 
     def test_two_frequency_printed_pair_is_flagged(self):
-        entry = analytic_oracle("ex3")
-        assert not entry.consistent
+        printed = FAMILIES["ex3"].printed
         p = build_upscaled("ex3")
         # the printed curves miss the affine part: defect 4 pi / 3
-        assert weighted_flux_defect(p, entry.printed) == pytest.approx(
+        assert weighted_flux_defect(p, printed) == pytest.approx(
             4 * PI / 3, rel=1e-4)
-        assert weighted_flux_defect(p, entry.derived) <= 1e-6
+        assert weighted_flux_defect(p, analytic_oracle("ex3")) <= 1e-6
 
     def test_derived_pair_adds_the_affine_part(self):
-        entry = analytic_oracle("ex3")
+        derived = analytic_oracle("ex3")
         t = np.linspace(0, 1, 11)
         v = 4 * PI / 5
-        assert np.allclose(entry.derived[0](t),
+        assert np.allclose(derived[0](t),
                            np.sin(2 * PI * t) + v * (1 - t), atol=1e-13)
-        assert np.allclose(entry.derived[1](t),
+        assert np.allclose(derived[1](t),
                            0.5 * np.sin(PI * t) + v * (1 - t), atol=1e-13)
 
     def test_alternating_root_family_has_no_printed_pair(self):
-        entry = analytic_oracle("ex4")
-        assert entry.printed is None
+        assert FAMILIES["ex4"].printed is None
         with pytest.raises(InvalidArgumentError):
-            entry.reference("printed")
-        entry.reference("derived")
+            printed_curves("ex4")
+        assert len(analytic_oracle("ex4")) == 2
 
-    def test_reference_selector_validated(self):
-        with pytest.raises(InvalidArgumentError):
-            analytic_oracle("ex1").reference("published")
+    @pytest.mark.parametrize("example,params", [
+        ("ex1", None), ("ex3", None), ("constant", {"c": 2.0}),
+    ])
+    def test_derived_oracle_reproduces_the_closed_forms(self, example,
+                                                        params):
+        # the curves written out for each family before they were derived
+        # from the record: zero, the corrected ex3 pair, and the constant
+        # family's c (1 - t^2) / (2 K) + (v - c / (2 K)) (1 - t)
+        t = np.linspace(0, 1, 13)
+        v = center_limit(build_upscaled(example, params))
+        c = (params or {}).get("c", 0.0)
+        expect = {
+            "ex1": [0 * t, 0 * t],
+            "ex3": [np.sin(2 * PI * t) + v * (1 - t),
+                    0.5 * np.sin(PI * t) + v * (1 - t)],
+            "constant": [c * (1 - t * t) / (2 * k) + (v - c / (2 * k)) * (1 - t)
+                         for k in (1.0, 2.0)],
+        }[example]
+        for f, e in zip(analytic_oracle(example, params), expect):
+            assert np.allclose(f(t), e, atol=1e-13)
+
+    def test_manufactured_oracle_is_the_exact_solution(self):
+        balance = -PI * (1 / 3 * 1.0 + 2 / 3 * 2.0)
+        t = np.linspace(0, 1, 13)
+        # the center limit is zero up to the moment quadrature, ~1e-13
+        for f in analytic_oracle("manufactured", h=lambda n: balance * n):
+            assert np.allclose(f(t), np.sin(PI * t) * (1 - t), atol=1e-12)
+
+
+class TestConfiguredLaw:
+    """References follow the coefficient law, orientation and datum."""
+
+    def test_rim_composes_forcing_particular_and_printed_with_one_minus_t(
+            self):
+        rim = {"orientation": "rim"}
+        t = np.linspace(0, 1, 9)
+        p = build_upscaled("ex3", rim)
+        assert np.allclose(p.fbar[0](t), 4 * PI**2 * np.sin(2 * PI * (1 - t)))
+        printed = printed_curves("ex3", rim)
+        assert np.allclose(printed[1](t), 0.5 * np.sin(PI * (1 - t)))
+        derived = analytic_oracle("ex3", rim)
+        assert weighted_flux_defect(p, derived) <= 1e-6
+        v = center_limit(p)
+        assert np.allclose(derived[0](t), np.sin(2 * PI * (1 - t))
+                           + v * (1 - t), atol=1e-13)
+
+    def test_deterministic_shares_come_from_the_rule(self):
+        p = build_upscaled("ex3", probs=(0.5, 0.5))
+        assert p.s == (1 / 3, 2 / 3)
+        q = build_upscaled("ex1", probs=(0.5, 0.5), coeff="random")
+        assert q.s == (0.5, 0.5)
+
+    def test_oracle_uses_the_configured_values(self):
+        derived = analytic_oracle("ex3", values=(1.0, 3.0))
+        v = center_limit(build_upscaled("ex3", values=(1.0, 3.0)))
+        t = np.linspace(0, 1, 9)
+        assert np.allclose(derived[1](t), np.sin(PI * t) / 3 + v * (1 - t),
+                           atol=1e-13)
+
+    def test_datum_limit(self):
+        assert datum_limit(2.5) == 0.0
+        assert datum_limit(lambda n: 2.5) == 0.0
+        assert datum_limit(lambda n: 0.1 * n) == 0.1
+        assert build_upscaled("ex3", h=lambda n: 0.5 * n).hbar == 0.5
+
+    @pytest.mark.parametrize("example", ["ex3", "ex4", "manufactured"])
+    def test_index_split_families_have_no_random_reference(self, example):
+        for make in (build_upscaled, analytic_oracle):
+            with pytest.raises(InvalidArgumentError, match="random"):
+                make(example, coeff="random")
+
+    def test_single_class_families_allow_random_coefficients(self):
+        p = build_upscaled("constant", {"c": 1.0}, probs=(0.25, 0.75),
+                           coeff="random")
+        assert p.s == (0.25, 0.75)
