@@ -5,10 +5,13 @@ rows, so the experiment runner can stay a thin formatting layer. Tables
 and Cauchy windows read only group averages and the center value, which
 the group-reduced system of a stage gives exactly (``assemble_reduced``).
 ``group_average_sweep`` feeds every requested stage from one walk over the
-edges, solves the reduced systems as stacks, and yields the arrays it
-holds per chunk of stages: sizes, group counts, centers, group averages
-and load sums, with no per-stage object. Tables and Cauchy windows read
-those arrays and take the norms of every (stage, group) in one call.
+edges, in blocks that draw their own coefficient groups, so it holds no
+array of n values other than ex2's noise, which that field draws for
+every edge of a stage; it solves the reduced systems as stacks and yields the
+arrays it holds per chunk of stages: sizes, group counts, centers, group
+averages and load sums, with no per-stage object. Tables and Cauchy
+windows read those arrays and take the norms of every (stage, group) in
+one call.
 References (``reference_grids``) follow the configured law and come from
 the family's record through ``upscale``. The full n-edge solve
 (``solve_example_stage``) serves the single-stage emits and is the
@@ -16,23 +19,22 @@ reference the sweep is tested against.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import (EmptyGroupError, InvalidArgumentError,
                      NumericalBreakdownError, UndefinedRateError)
-from .femsolve import (StageSolution, assemble_reduced, group_load_sums,
-                       solve, solve_stage)
+from .femsolve import (StageSolution, assemble_reduced, group_load_terms,
+                       load_basis, solve, solve_stage)
 from .forcing import GridFunction, builtin_field
-from .stargraph import GROUP_PROBS, GROUP_VALUES, TWO_PI, build_stage
+from .stargraph import (GROUP_PROBS, GROUP_VALUES, TWO_PI, build_stage,
+                        edge_groups)
 from .upscale import (analytic_oracle, build_upscaled, printed_curves,
                       solve_upscaled)
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     n: int
     group: int
     l2_error: float
@@ -43,8 +45,7 @@ class ConvergenceRow:
     seed: int
 
 
-@dataclass(frozen=True)
-class CauchyRow:
+class CauchyRow(NamedTuple):
     n: int
     group: int
     epsilon: float
@@ -164,9 +165,13 @@ def solve_example_stage(example: str, n: int, m: int, *,
         raise NumericalBreakdownError(f"stage n={n}: {exc}") from exc
 
 
-#: float64 values per block of edges (Gauss-point work) and per chunk of
-#: stages (stacked group load sums) in a sweep
+#: float64 values a sweep holds per block of edges (Gauss-point rows of a
+#: field without a load basis) and per chunk of stages (group load sums)
 SWEEP_BLOCK_VALUES = 1 << 20
+
+#: float64 scalars a block holds per edge (index, group, key, A, b, c and
+#: their temporaries), which caps a block at 2^14 edges
+_EDGE_SCALARS = 64
 
 
 def group_average_sweep(example: str, stages: Sequence[int], m: int, *,
@@ -180,23 +185,31 @@ def group_average_sweep(example: str, stages: Sequence[int], m: int, *,
     group averages and group load sums (S, g, m+1). An empty group has
     count 0 and an average of zeros.
 
-    The coefficients come from one ``build_stage`` at the largest stage
-    (both sources are prefix-stable in n). The stages are taken in chunks
-    of S, with S g (m+1) <= SWEEP_BLOCK_VALUES for g groups. Within a
-    chunk the edges are walked once, in increasing index and in blocks of
-    SWEEP_BLOCK_VALUES // (3 m) edges, with one ``group_load_sums`` call
-    per block: edge l is keyed by segment g + group, where its segment
+    No array of the walk has a length in n (ex2's field holds one: the
+    noise of its stage). The stages are taken in chunks of S, with
+    S g (m+1) <= SWEEP_BLOCK_VALUES for g groups. Within a chunk the edges
+    are walked once, in increasing index and in blocks, and each block
+    draws its own groups (``edge_groups``: ``l % 3`` for the deterministic
+    rule, the next stretch of one seeded stream for random coefficients).
+    Edge l is keyed by segment g + group, where its segment
     (``searchsorted(stages, l)``) is the first stage of the chunk that
-    contains it, counted from the block's first segment so each call
-    covers only the segments its block spans. One cumsum over the
-    segments then gives every stage's group sums, on top of those carried
-    from the chunk before. The chunk's stages that share their set of
-    non-empty groups are assembled into one stack of g-edge reduced
-    systems and solved by one ``solve`` call, whose backward-error gate
-    certifies each stage of the stack; a breakdown names the stage.
-    Memory is O(SWEEP_BLOCK_VALUES) plus the coefficient arrays. ``ex2``
-    redraws its noise for each stage size, so its walk restarts from edge
-    1 per stage. ``h`` is a number or a function of n.
+    contains it, counted from the block's first segment, and one
+    ``group_load_terms`` call per block sums its loads per key: for a field
+    with a ``load_basis`` (at most two frequencies) as k+1 scalars per key
+    from a keyed ``bincount``, so a block is capped only by its per-edge
+    scalars, SWEEP_BLOCK_VALUES // _EDGE_SCALARS edges; otherwise (ex5, one
+    frequency per edge) as load vectors, with at most SWEEP_BLOCK_VALUES
+    Gauss-point values a block. Blocks add into the chunk's per-segment
+    sums (the keyed ``bincount`` already sums in short runs, which keeps
+    a 10^7-edge table within 1e-9 of ``math.fsum``). One cumsum over the
+    segments then gives
+    every stage's group sums, on top of those carried from the chunk
+    before. The chunk's stages that share their set of non-empty groups
+    are assembled into one stack of g-edge reduced systems and solved by
+    one ``solve`` call, whose backward-error gate certifies each stage of
+    the stack; a breakdown names the stage. ``ex2`` redraws its noise for
+    each stage size, so its walk (coefficients included) restarts from
+    edge 1 per stage. ``h`` is a number or a function of n.
     """
     stages = [int(n) for n in stages]
     if any(b <= a for a, b in zip(stages, stages[1:])):
@@ -208,41 +221,70 @@ def group_average_sweep(example: str, stages: Sequence[int], m: int, *,
     if m < 2:
         raise InvalidArgumentError("need m >= 2 elements per edge")
     h_of = h if callable(h) else (lambda n: float(h))
-    star = build_stage(stages[-1], source=coeff, seed=seed, probs=probs,
-                       values=values)
-    g = len(star.group_values)
-    block = max(1, SWEEP_BLOCK_VALUES // (3 * m))
+    group_values = np.array(values, dtype=float)
+    g = len(group_values)
     chunk = max(1, SWEEP_BLOCK_VALUES // (g * (m + 1)))
     restart = example == "ex2" and "n_edges" not in (parameters or {})
     for walk in ([[n] for n in stages] if restart else [stages]):
+        groups_of = edge_groups(coeff, seed=seed, probs=probs, values=values)
         field = builtin_field(
             example, _stage_parameters(example, walk[0], parameters),
             seed=seed)
-        sums = np.zeros((1, g, m + 1))
-        counts = np.zeros((1, g), dtype=np.int64)
-        done = 0
-        for lo in range(0, len(walk), chunk):
-            part = walk[lo:lo + chunk]
-            ends = np.array(part)
-            nkeys = len(part) * g
-            seg_sums = np.zeros((nkeys, m + 1))
-            seg_counts = np.zeros(nkeys, dtype=np.int64)
-            for start in range(done, part[-1], block):
-                ells = np.arange(start + 1, min(start + block, part[-1]) + 1)
-                # keys relative to the block's own segments [first, last]
-                seg = np.searchsorted(ends, ells)
-                span = slice(seg[0] * g, (seg[-1] + 1) * g)
-                key = (seg - seg[0]) * g + star.group_of[start:ells[-1]] - 1
-                width = span.stop - span.start
-                seg_sums[span] += group_load_sums(field, ells, key, width, m)
-                seg_counts[span] += np.bincount(key, minlength=width)
-            done = part[-1]
-            sums = sums[-1] + np.cumsum(seg_sums.reshape(-1, g, m + 1), axis=0)
-            counts = counts[-1] + np.cumsum(seg_counts.reshape(-1, g), axis=0)
+        basis = load_basis(field, m)
+        block = SWEEP_BLOCK_VALUES // _EDGE_SCALARS
+        if basis is None:
+            block = min(block, SWEEP_BLOCK_VALUES // (3 * m))
+        terms = _group_terms(field, groups_of, walk, g, m, max(1, block),
+                             chunk)
+        for ends, counts, sums in terms:
+            if np.any((counts[-1] > 0) & ~(group_values > 0)):
+                raise InvalidArgumentError(
+                    "diffusion coefficients must be positive")
+            if basis is not None:
+                sums = sums @ basis
             centers, averages = _stacked_solve(
-                ends, counts, star.group_values, sums,
-                [h_of(n) for n in part], m)
+                ends, counts, group_values, sums,
+                [h_of(n) for n in ends], m)
             yield ends, counts, centers, averages, sums
+
+
+def _group_terms(field, groups_of, walk, g: int, m: int, block: int,
+                 chunk: int):
+    """Per chunk of the stages ``walk``: (stages, counts, terms).
+
+    ``terms`` (S, g, r) are the group load sums of each stage over the
+    field's ``load_basis`` (``group_load_terms``), ``counts`` (S, g) the
+    group sizes; edges are walked in blocks of ``block``, grouped by
+    ``groups_of``, and added into each chunk's per-segment sums.
+    """
+    total = counts = None
+    done = 0
+    for lo in range(0, len(walk), chunk):
+        part = walk[lo:lo + chunk]
+        ends = np.array(part)
+        nkeys = len(part) * g
+        seg_counts = np.zeros(nkeys, dtype=np.int64)
+        seg = None
+        for start in range(done, part[-1], block):
+            ells = np.arange(start + 1, min(start + block, part[-1]) + 1)
+            # keys relative to the block's own segments [first, last]
+            first, last = np.searchsorted(ends, ells[[0, -1]])
+            key = groups_of(ells)
+            if last > first:
+                key += (np.searchsorted(ends, ells) - first) * g
+            width = (last - first + 1) * g
+            block_terms = group_load_terms(field, ells, key, width, m)
+            if seg is None:
+                seg = np.zeros((nkeys, block_terms.shape[1]))
+            at = first * g
+            seg[at:at + width] += block_terms
+            seg_counts[at:at + width] += np.bincount(key, minlength=width)
+        done = part[-1]
+        seg = seg.reshape(len(part), g, -1)
+        total = np.cumsum(seg, axis=0) + (0.0 if total is None else total[-1])
+        counts = np.cumsum(seg_counts.reshape(-1, g), axis=0) + (
+            0 if counts is None else counts[-1])
+        yield ends, counts, total
 
 
 def _stacked_solve(stages: np.ndarray, counts: np.ndarray, group_values,
@@ -325,6 +367,12 @@ def convergence_table(example: str, stages: Sequence[int], m: int, reference,
     for ref in refs:
         if ref.m != m:
             raise InvalidArgumentError(f"grids disagree: m={m} vs m={ref.m}")
+    if len(refs) > len(values):
+        raise InvalidArgumentError(
+            f"reference {ref_id} has {len(refs)} curves but the law has "
+            f"{len(values)} group{'s' * (len(values) != 1)} (values = "
+            f"{', '.join(map(str, values))}); give one group value per "
+            f"reference curve")
     sweep = _sweep_arrays(example, stages, m, coeff=coeff, seed=seed,
                           probs=probs, values=values, parameters=parameters,
                           h=h)
@@ -332,9 +380,6 @@ def convergence_table(example: str, stages: Sequence[int], m: int, reference,
         return []
     ns, counts, centers, averages, _ = sweep
     g = len(refs)
-    if g > counts.shape[1]:
-        raise InvalidArgumentError(
-            f"group index {counts.shape[1] + 1} out of range")
     empty = np.argwhere(counts[:, :g] == 0)
     if empty.size:
         k, i = empty[0]

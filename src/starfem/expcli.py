@@ -5,7 +5,8 @@ output file starts with a comment carrying the normalized experiment config
 and the PRNG identifier, so a file is reproducible from its own header.
 Writes are atomic (temp file, then rename) and byte-identical across reruns
 of the same config unless the opt-in timestamp line is enabled. A request
-whose arrays would exceed MAX_ARRAY_VALUES is refused before it runs, and
+whose arrays would exceed MAX_ARRAY_VALUES, or whose sweep would walk more
+than MAX_SWEEP_WORK edge elements, is refused before it runs, and
 a row holding NaN or inf is refused before anything is written.
 
 Exit codes: 0 success, 2 config or argument problems, 3 numerical
@@ -15,12 +16,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +40,7 @@ EMITS = ("table", "cauchy", "solution", "weyl", "identity", "upscaled", "rate")
 OUT_DIR_ENV = "STARFEM_OUT_DIR"
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     example: str
     emit: str = "table"
     stages: tuple = (10, 20, 100, 1000)
@@ -83,7 +82,7 @@ class ExperimentConfig:
 
         The output path, the timestamp and unset optional keys stay out.
         """
-        parts = {k: v for k, v in dataclasses.asdict(self).items()
+        parts = {k: v for k, v in self._asdict().items()
                  if k not in ("h_coeff", "h_linear", "out", "timestamp")}
         parts["h"] = (f"{self.h_coeff!r}*n" if self.h_linear
                       else repr(self.h_coeff))
@@ -246,11 +245,42 @@ def _validate(config: ExperimentConfig):
             f"{config.emit} would allocate arrays of {size} values, more than "
             f"the budget of {MAX_ARRAY_VALUES}; lower n, mesh, stages or "
             f"centers")
+    edges = _sweep_size(config)[2]
+    if edges * config.mesh > MAX_SWEEP_WORK:
+        raise ConfigError(
+            f"{config.emit} would walk {edges} edges of {config.mesh} "
+            f"elements, more than the budget of {MAX_SWEEP_WORK} edge "
+            f"elements; lower mesh, stages or centers")
 
 
 #: most float64 values one array of a run may hold (512 MiB); a run keeps
 #: a handful of arrays this size, so larger requests are refused up front
 MAX_ARRAY_VALUES = 2**26
+
+#: most edges times elements per edge a table or Cauchy sweep may walk
+#: (about 1.7e10: an ex3 table to 10^8 edges at mesh 100)
+MAX_SWEEP_WORK = 2**34
+
+
+def _sweep_size(config: ExperimentConfig) -> tuple:
+    """(stages, largest, edges) of a table or Cauchy sweep, or zeros.
+
+    ``stages`` it solves, ``largest`` its largest stage and ``edges`` it
+    walks. A Cauchy window covers window + 1 stages, which windows may
+    share; ex2 restarts its walk at every stage, the others walk to the
+    largest once.
+    """
+    if config.emit == "table":
+        count, largest = len(config.stages), max(config.stages, default=0)
+        walked = sum(config.stages)
+    elif config.emit == "cauchy":
+        count = len(config.centers) * (config.window + 1)
+        largest = (max(config.centers, default=0) + config.window
+                   - config.window // 2)
+        walked = count * largest
+    else:
+        return 0, 0, 0
+    return count, largest, walked if config.example == "ex2" else largest
 
 
 def _largest_array(config: ExperimentConfig) -> int:
@@ -260,10 +290,13 @@ def _largest_array(config: ExperimentConfig) -> int:
         return config.n * per_edge
     if config.emit == "weyl":
         return config.n
-    if config.emit == "table":
-        return max(max(config.stages, default=0), per_edge)
-    if config.emit == "cauchy":
-        return max(max(config.centers, default=0) + config.window, per_edge)
+    if config.emit in ("table", "cauchy"):
+        # one block of edges (at least one edge's Gauss points), every
+        # stage's group averages, and for ex2 the noise of its largest stage
+        stages, largest, _ = _sweep_size(config)
+        noise = largest if config.example == "ex2" else 0
+        return max(per_edge, noise,
+                   stages * len(config.values) * (config.mesh + 1))
     if config.emit == "upscaled":
         return len(config.values) * per_edge
     return len(config.errors)
@@ -496,7 +529,7 @@ def _config_from_args(args) -> ExperimentConfig:
         updates["interval"] = _float_list(args.interval, 0)
     if getattr(args, "errors", None) is not None:
         updates["errors"] = _float_list(args.errors, 0)
-    config = dataclasses.replace(config, **updates)
+    config = config._replace(**updates)
     _validate(config)
     return config
 

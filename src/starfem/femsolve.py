@@ -16,9 +16,13 @@ gate fails.
 
 Edges of one coefficient group share K, so by linearity their average is
 the solution of a smaller arrowhead system with one edge per group,
-coefficient n_i K_i and the group's load sum (``assemble_reduced``, with
-loads from ``group_load_sums``). It goes through the same ``solve`` and
-gate; tables and Cauchy windows use it, the full system the other emits.
+coefficient n_i K_i and the group's load sum (``assemble_reduced``). A
+sine family with at most two frequencies has a ``load_basis``: every edge
+load combines its k+1 rows, so a group's load sum needs only the k+1 sums
+of its edges' scalars, which ``group_load_terms`` takes with one keyed
+``bincount`` and no sort; other fields sum load vectors. The reduced
+system goes through the same ``solve`` and gate; tables and Cauchy
+windows use it, the full system the other emits.
 A system may carry leading axes that stack independent systems of one
 shape: ``solve``, ``apply`` and the gate work on the trailing axes, so
 many stages' reduced systems are assembled and solved in one pass, and
@@ -26,18 +30,17 @@ the gate passes the stack only if every system in it passes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from ._record import Record
 from .errors import InvalidArgumentError, NumericalBreakdownError
 from .forcing import GAUSS3_W, GAUSS3_X, ForcingField, GridFunction, builtin_field
 from .stargraph import StarStage, build_stage, group_star
 
 
-@dataclass(frozen=True)
-class ArrowheadSystem:
+class ArrowheadSystem(Record):
     """Assembled stage system in structured form.
 
     ``block_diag[e, k]`` is the diagonal entry of interior node k+1 on edge
@@ -55,15 +58,15 @@ class ArrowheadSystem:
     coefficients). Every method works on the trailing axes.
     """
 
-    stage: Optional[StarStage]
-    m: int
-    h: float | np.ndarray
-    block_diag: np.ndarray
-    block_off: np.ndarray
-    center_diag: float | np.ndarray
-    rhs_interior: np.ndarray
-    rhs_center: float | np.ndarray
-    node_loads: np.ndarray
+    def __init__(self, stage: Optional[StarStage], m: int,
+                 h: float | np.ndarray, block_diag: np.ndarray,
+                 block_off: np.ndarray, center_diag: float | np.ndarray,
+                 rhs_interior: np.ndarray, rhs_center: float | np.ndarray,
+                 node_loads: np.ndarray):
+        self._set(stage=stage, m=m, h=h, block_diag=block_diag,
+                  block_off=block_off, center_diag=center_diag,
+                  rhs_interior=rhs_interior, rhs_center=rhs_center,
+                  node_loads=node_loads)
 
     @property
     def unknowns(self) -> int:
@@ -122,8 +125,7 @@ class ArrowheadSystem:
                           / np.maximum(cscale, tiny))
 
 
-@dataclass(frozen=True)
-class StageSolution:
+class StageSolution(Record):
     """Nodal values of the discrete stage solution.
 
     ``values[e, j]`` is the value at t = j/m on edge e+1; column 0 is the
@@ -134,16 +136,13 @@ class StageSolution:
     arrays, ``stage`` None).
     """
 
-    stage: Optional[StarStage]
-    m: int
-    h: float | np.ndarray
-    center: float | np.ndarray
-    values: np.ndarray
-    node_loads: np.ndarray
-
-    def __post_init__(self):
-        self.values.flags.writeable = False
-        self.node_loads.flags.writeable = False
+    def __init__(self, stage: Optional[StarStage], m: int,
+                 h: float | np.ndarray, center: float | np.ndarray,
+                 values: np.ndarray, node_loads: np.ndarray):
+        values.flags.writeable = False
+        node_loads.flags.writeable = False
+        self._set(stage=stage, m=m, h=h, center=center, values=values,
+                  node_loads=node_loads)
 
     def edge_grid(self, ell: int) -> GridFunction:
         if not 1 <= ell <= self.stage.n:
@@ -159,6 +158,40 @@ def _hat_loads(F: np.ndarray, m: int) -> np.ndarray:
     return loads
 
 
+def _gauss_points(field: ForcingField, m: int) -> np.ndarray:
+    """The 3m Gauss points of the loads, in the field's orientation."""
+    tq = ((np.arange(m)[:, None] + GAUSS3_X[None, :]) / m).ravel()
+    if field.parameters.get("orientation", "center") == "rim":
+        return 1.0 - tq
+    return tq
+
+
+def _sine_rows(field: ForcingField, freqs: np.ndarray, m: int) -> np.ndarray:
+    """Hat-load rows (len(freqs), m+1) of sin(b s), one per frequency b."""
+    rows = freqs[:, None] * _gauss_points(field, m)[None, :]
+    np.sin(rows, out=rows)
+    return _hat_loads(rows.reshape(-1, m, 3), m)
+
+
+def _unit_row(m: int) -> np.ndarray:
+    """Hat loads of the constant 1."""
+    return _hat_loads(np.ones((1, m, 3)), m)[0]
+
+
+def _sine_scalars(field: ForcingField, ells: np.ndarray) -> tuple:
+    """(A, b, c) of a sine family at edges ``ells``, each an array per edge."""
+    ells = field._edges(ells)
+    return tuple(np.broadcast_to(np.asarray(v, dtype=float), ells.shape)
+                 for v in field.sine_coeffs(ells))
+
+
+def _frequency_class(field: ForcingField, b: np.ndarray):
+    """Each edge's index into the declared ``frequencies``, with no sort."""
+    if len(field.frequencies) == 1:
+        return np.zeros(b.shape, dtype=np.intp)
+    return (b != field.frequencies[0]).astype(np.intp)
+
+
 def _load_terms(field: ForcingField, ells: np.ndarray, m: int):
     """Loads of edges ``ells`` as (rows, which, A, c, unit).
 
@@ -168,21 +201,15 @@ def _load_terms(field: ForcingField, ells: np.ndarray, m: int):
     any other field is evaluated edge by edge (one row each, A = 1, c = 0,
     ``unit`` None).
     """
-    tq = ((np.arange(m)[:, None] + GAUSS3_X[None, :]) / m).ravel()
     if field.sine_coeffs is None:
+        # the profile applies the orientation itself
+        tq = ((np.arange(m)[:, None] + GAUSS3_X[None, :]) / m).ravel()
         F = field.values(ells, tq).reshape(len(ells), m, 3)
         return (_hat_loads(F, m), np.arange(len(ells)), np.ones(len(ells)),
                 None, None)
-    ells = field._edges(ells)
-    A, b, c = (np.broadcast_to(np.asarray(v, dtype=float), ells.shape)
-               for v in field.sine_coeffs(ells))
-    if field.parameters.get("orientation", "center") == "rim":
-        tq = 1.0 - tq
+    A, b, c = _sine_scalars(field, ells)
     freqs, which = np.unique(b, return_inverse=True)
-    rows = freqs[:, None] * tq[None, :]
-    np.sin(rows, out=rows)
-    return (_hat_loads(rows.reshape(-1, m, 3), m), which.ravel(), A, c,
-            _hat_loads(np.ones((1, m, 3)), m)[0])
+    return _sine_rows(field, freqs, m), which.ravel(), A, c, _unit_row(m)
 
 
 def assemble_loads(field: ForcingField, stage: StarStage, m: int) -> np.ndarray:
@@ -191,7 +218,7 @@ def assemble_loads(field: ForcingField, stage: StarStage, m: int) -> np.ndarray:
     Includes the center (column 0) and rim (column m) rows even though the
     rim is not an unknown; the identity checks integrate against them.
     A sine family's loads are A H(b) + c H(1) from one hat-load row per
-    distinct frequency b; any other field is evaluated edge by edge.
+    frequency b; any other field is evaluated edge by edge.
     """
     rows, which, A, c, unit = _load_terms(field, np.arange(1, stage.n + 1), m)
     if unit is None:
@@ -202,18 +229,65 @@ def assemble_loads(field: ForcingField, stage: StarStage, m: int) -> np.ndarray:
     return loads
 
 
-def group_load_sums(field: ForcingField, ells: np.ndarray, group_index,
-                    groups: int, m: int) -> np.ndarray:
-    """Sum of the load vectors of edges ``ells`` per group, shape (groups, m+1).
+def load_basis(field: ForcingField, m: int):
+    """The rows every edge load of the field combines, or None.
 
-    ``group_index[j]`` is the 0-based group of edge ells[j]. The per-edge
-    scalars A and c are summed per (group, hat-load row) pair that occurs,
-    so a sine family with few frequencies never forms a load vector per
-    edge, and the work stays O(len(ells) m) however many groups there are.
+    For a sine family that declares its ``frequencies`` b_0, ..., b_{k-1},
+    the (k+1, m+1) hat-load rows of sin(b_j s) and, last, of 1: edge l's
+    load is A_l times the row of its frequency class plus c_l times the
+    last. Other fields have no such basis (None).
     """
+    if field.sine_coeffs is None or field.frequencies is None:
+        return None
+    freqs = np.asarray(field.frequencies, dtype=float)
+    return np.vstack([_sine_rows(field, freqs, m), _unit_row(m)])
+
+
+#: most consecutive entries of one key that ``_keyed_sums`` adds in sequence
+_RUN = 128
+
+
+def _keyed_sums(key: np.ndarray, size: int, *weights) -> list:
+    """Sums of each of ``weights`` per key in 0..size-1, with no sort.
+
+    One ``bincount`` per weight array over (key, run) bins, where a run is
+    a stretch of at most max(_RUN, size) consecutive entries, then one
+    contiguous sum over the runs of each key. No sum in sequence is longer
+    than a run, so a block of 2^14 equal terms is summed to ~1e-15 rather
+    than ~1e-13; the bins number at most len(key) + size.
+    """
+    span = max(_RUN, size)
+    runs = -(-len(key) // span)
+    if runs > 1:
+        key = key * runs + np.arange(len(key)) // span
+    return [np.bincount(key, weights=w, minlength=size * runs).reshape(
+                size, runs).sum(axis=1) for w in weights]
+
+
+def group_load_terms(field: ForcingField, ells: np.ndarray, group_index,
+                     groups: int, m: int) -> np.ndarray:
+    """Loads of edges ``ells`` summed per group, over ``load_basis``.
+
+    ``group_index[j]`` is the 0-based group of edge ells[j]. With a basis
+    of k frequency rows and the unit row, the result is (groups, k+1): per
+    group the sum of A over its edges of each frequency class, then the
+    sum of c, from one keyed ``bincount`` each and no sort. Without a basis
+    it is the (groups, m+1) load sums themselves: the per-edge scalars are
+    summed per (group, hat-load row) pair that occurs, so a sine family
+    never forms a load vector per edge, and the work stays O(len(ells) m)
+    however many groups there are. Either way the group load sums are
+    the result, times the basis when there is one.
+    """
+    group_index = np.asarray(group_index)
+    if field.sine_coeffs is not None and field.frequencies is not None:
+        A, b, c = _sine_scalars(field, ells)
+        k = len(field.frequencies)
+        key = group_index * k + _frequency_class(field, b)
+        a_sums, c_sums = (v.reshape(groups, k)
+                          for v in _keyed_sums(key, groups * k, A, c))
+        return np.column_stack([a_sums, c_sums.sum(axis=1)])
     rows, which, A, c, unit = _load_terms(field, ells, m)
     k = rows.shape[0]
-    group_index = np.asarray(group_index)
     pairs, slot = np.unique(group_index * k + which, return_inverse=True)
     weights = np.bincount(slot.ravel(), weights=A, minlength=pairs.size)
     # pairs are sorted, so the rows of one group are contiguous
@@ -265,7 +339,7 @@ def assemble_reduced(weights, load_sums: np.ndarray, h,
     The solution on that edge is therefore exactly the group average, and
     the center value is the stage's. ``weights`` are the n_i K_i of the
     non-empty groups and ``load_sums`` their (groups, m+1) load sums
-    (``group_load_sums``), so row r of the solution is the r-th weight's
+    (from ``group_load_terms``), so row r of the solution is the r-th weight's
     group. With leading axes, weights (S, k), load sums (S, k, m+1) and
     h (S,) stack S stages that share their non-empty groups, assembled and
     solved as one.

@@ -13,11 +13,11 @@ radial classes of ex3, ex4 and ex5 are written once, in
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from ._record import Record
 from ._rng import stage_rng
 from .errors import EmptyGroupError, InvalidArgumentError
 from .stargraph import StarStage, TWO_PI
@@ -29,33 +29,27 @@ GAUSS3_X = np.array([0.5 - 0.5 * np.sqrt(0.6), 0.5, 0.5 + 0.5 * np.sqrt(0.6)])
 GAUSS3_W = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
 
 
-@dataclass(frozen=True)
-class GridFunction:
+class GridFunction(Record):
     """Samples of a scalar function at the m+1 uniform nodes of [0,1].
 
     The orientation tag records which end is the star center (t = 0).
     """
 
-    m: int
-    values: np.ndarray
-    orientation: str = "center"
-
-    def __post_init__(self):
-        if self.m < 2:
+    def __init__(self, m: int, values, orientation: str = "center"):
+        if m < 2:
             raise InvalidArgumentError("grid needs m >= 2 elements")
-        vals = np.array(self.values, dtype=float)
-        if vals.shape != (self.m + 1,):
+        vals = np.array(values, dtype=float)
+        if vals.shape != (m + 1,):
             raise InvalidArgumentError("grid carries m + 1 nodal values")
         vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        self._set(m=m, values=vals, orientation=orientation)
 
     @property
     def nodes(self) -> np.ndarray:
         return np.arange(self.m + 1) / self.m
 
 
-@dataclass(frozen=True)
-class ForcingField:
+class ForcingField(Record):
     """Radial forcing indexed by edge.
 
     ``bounded_l2`` is a uniform bound on the per-edge L2 norms when one
@@ -64,16 +58,20 @@ class ForcingField:
     ``sine_coeffs(ells) -> (A, b, c)`` (arrays or scalars per edge) of
     A sin(b s) + c, with s = t, or s = 1 - t under ``orientation`` "rim";
     its profile is built from it and the load assembly reads it in place of
-    ``profile``. A field without one is assembled point by point.
+    ``profile``. A field without one is assembled point by point. A sine
+    family whose b takes at most two values declares them in
+    ``frequencies``; edge l's frequency class is the index of its b there.
     """
 
-    family_id: str
-    parameters: dict
-    seed: Optional[int]
-    profile: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    bounded_l2: Optional[float] = None
-    max_edge: Optional[int] = None
-    sine_coeffs: Optional[Callable[[np.ndarray], tuple]] = None
+    def __init__(self, family_id: str, parameters: dict, seed: Optional[int],
+                 profile: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                 bounded_l2: Optional[float] = None,
+                 max_edge: Optional[int] = None,
+                 sine_coeffs: Optional[Callable[[np.ndarray], tuple]] = None,
+                 frequencies: Optional[tuple] = None):
+        self._set(family_id=family_id, parameters=parameters, seed=seed,
+                  profile=profile, bounded_l2=bounded_l2, max_edge=max_edge,
+                  sine_coeffs=sine_coeffs, frequencies=frequencies)
 
     def _edges(self, ells) -> np.ndarray:
         """Edge indices as an int array, checked against 1..max_edge."""
@@ -129,7 +127,8 @@ def _radial_groups(ells):
 def _angular_ex3(ells):
     # sign alternates in blocks of six; magnitude is the mod-2*pi remainder,
     # which is bounded and Cesaro-null, unlike a literal l - floor(l/(2*pi))
-    return (-1.0) ** (ells // 6) * 10.0 * np.mod(ells, TWO_PI)
+    # (ells // 6) & 1 is the parity: the sign without a float power
+    return (1 - 2 * ((ells // 6) & 1)) * (10.0 * np.mod(ells, TWO_PI))
 
 
 _SQ2 = np.sqrt(2.0)
@@ -149,11 +148,17 @@ def manufactured_exact_deriv(t):
 
 
 # Per-family declarations: (parameters, seed) -> ForcingField keywords,
-# either ``sine_coeffs`` or ``profile``, plus ``bounded_l2`` and ``max_edge``.
+# either ``sine_coeffs`` or ``profile``, plus ``bounded_l2``, ``max_edge``
+# and the ``frequencies`` of a family with at most two.
 
-def _fixed(sine, bound):
+#: the frequencies of the radial classes, in class order
+_RADIAL_FREQUENCIES = tuple(b for _, b in RADIAL_CLASSES)
+
+
+def _fixed(sine, bound, frequencies=None):
     """Declaration of a family without parameters."""
-    return lambda parameters, seed: dict(sine_coeffs=sine, bounded_l2=bound)
+    return lambda parameters, seed: dict(sine_coeffs=sine, bounded_l2=bound,
+                                         frequencies=frequencies)
 
 
 def _ex1_sine(l):
@@ -178,12 +183,14 @@ def _ex2(parameters, seed):
         -noise, noise, size=max_edge)
     z.flags.writeable = False
     return dict(sine_coeffs=lambda l: _ex1_sine(l)[:2] + (z[l - 1],),
-                bounded_l2=PI**2 / _SQ2 + noise, max_edge=max_edge)
+                bounded_l2=PI**2 / _SQ2 + noise, max_edge=max_edge,
+                frequencies=(PI,))
 
 
 def _constant(parameters, seed):
     c = float(parameters.get("c", 0.0))
-    return dict(sine_coeffs=lambda l: (0.0, 0.0, c), bounded_l2=abs(c))
+    return dict(sine_coeffs=lambda l: (0.0, 0.0, c), bounded_l2=abs(c),
+                frequencies=(0.0,))
 
 
 def _manufactured(parameters, seed):
@@ -259,19 +266,20 @@ class Family(NamedTuple):
 
 
 FAMILIES = {
-    "ex1": Family(frozenset(), _fixed(_ex1_sine, PI**2 / _SQ2),
+    "ex1": Family(frozenset(), _fixed(_ex1_sine, PI**2 / _SQ2, (PI,)),
                   lambda p: _NULL_LIMIT, (_zero, _zero)),
     "ex2": Family(frozenset({"noise", "n_edges"}), _ex2,
                   lambda p: _NULL_LIMIT, (_zero, _zero)),
     "ex3": Family(frozenset(), _fixed(
                       lambda l: _radial_groups(l) + (_angular_ex3(l),),
-                      4 * PI**2 / _SQ2 + 20 * PI),
+                      4 * PI**2 / _SQ2 + 20 * PI, _RADIAL_FREQUENCIES),
                   lambda p: _RADIAL_LIMIT,
                   (lambda t: np.sin(TWO_PI * t),
                    lambda t: 0.5 * np.sin(PI * t))),
     "ex4": Family(frozenset(), _fixed(
                       lambda l: _radial_groups(l)
-                      + ((-1.0) ** l * np.sqrt(l.astype(float)),), None),
+                      + ((1 - 2 * (l & 1)) * np.sqrt(l.astype(float)),),
+                      None, _RADIAL_FREQUENCIES),
                   lambda p: _RADIAL_LIMIT),
     # b is an integer multiple of pi, so every edge norm is exactly A/sqrt(2)
     "ex5": Family(frozenset(), _fixed(_ex5_sine, 4 * PI**2 / _SQ2),

@@ -8,10 +8,11 @@ are the finite-n estimates of the limiting shares s_i.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from ._record import Record
 from ._rng import coefficient_rng
 from .errors import InvalidArgumentError
 
@@ -22,8 +23,7 @@ GROUP_VALUES = (1.0, 2.0)
 GROUP_PROBS = (1.0 / 3.0, 2.0 / 3.0)
 
 
-@dataclass(frozen=True)
-class StarStage:
+class StarStage(Record):
     """Coefficients of one n-edge star.
 
     ``group_of`` holds 1-based group indices; ``coeffs[l] ==
@@ -32,15 +32,12 @@ class StarStage:
     no solve reads them, and ``vertex_angles(n)`` gives them on demand.
     """
 
-    n: int
-    coeffs: np.ndarray
-    group_of: np.ndarray
-    group_values: tuple[float, ...]
-    c_K: float
-
-    def __post_init__(self):
-        for name in ("coeffs", "group_of"):
-            getattr(self, name).flags.writeable = False
+    def __init__(self, n: int, coeffs: np.ndarray, group_of: np.ndarray,
+                 group_values: tuple, c_K: float):
+        coeffs.flags.writeable = False
+        group_of.flags.writeable = False
+        self._set(n=n, coeffs=coeffs, group_of=group_of,
+                  group_values=group_values, c_K=c_K)
 
     def group_mask(self, i: int) -> np.ndarray:
         """Boolean mask of the edges in 1-based group i."""
@@ -49,8 +46,7 @@ class StarStage:
         return self.group_of == i
 
 
-@dataclass(frozen=True)
-class GroupStats:
+class GroupStats(NamedTuple):
     counts: tuple[int, ...]
     fractions: tuple[float, ...]
     kbar: float
@@ -74,25 +70,65 @@ def coefficient_random(
     The draw is a single sequential uniform stream, so the first n entries
     agree for every n (a fixed realization shared by all stages of a run).
     """
-    return np.asarray(values, dtype=float)[_random_draw(n, seed, probs, values)]
+    groups = edge_groups("random", seed=seed, probs=probs, values=values)
+    return np.asarray(values, dtype=float)[groups(np.arange(1, n + 1))]
 
 
-def _random_draw(n: int, seed: int, probs, values) -> np.ndarray:
-    """0-based index i of the value drawn for each edge (``coefficient_random``)."""
+def _checked_probs(probs, values) -> tuple:
     probs = tuple(float(p) for p in probs)
     if len(probs) != len(values):
         raise InvalidArgumentError("one probability per group value required")
     if any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-12:
         raise InvalidArgumentError("group probabilities must be >= 0 and sum to 1")
-    u = coefficient_rng(seed).random(n)
-    idx = np.searchsorted(np.cumsum(probs), u, side="right")
-    return np.minimum(idx, len(values) - 1, out=idx)
+    return probs
+
+
+def _draw(rng, count: int, bounds: np.ndarray) -> np.ndarray:
+    """0-based index of the value drawn for each of the next ``count`` edges."""
+    idx = np.searchsorted(bounds, rng.random(count), side="right")
+    return np.minimum(idx, len(bounds) - 1, out=idx)
 
 
 def _last_group(values) -> np.ndarray:
     """1-based group of each value: the last group carrying that value."""
     last = {v: i + 1 for i, v in enumerate(values)}
     return np.array([last[v] for v in values])
+
+
+def edge_groups(source: str, *, seed: int = 0, probs=GROUP_PROBS,
+                values=GROUP_VALUES):
+    """The 0-based group of each edge under ``source``, block by block.
+
+    Returns ``groups(ells)``, to be called on consecutive blocks of edge
+    indices from edge 1 on (1..a, then a+1..b, ...); a value's group is the
+    last group carrying it. The deterministic rule gives edge l = 3, 6, 9,
+    ... the first value and every other edge the second, and keeps no
+    state. Random draws continue one ``coefficient_rng(seed)`` stream, so
+    any split into blocks draws exactly what ``coefficient_random`` does.
+    """
+    values = tuple(float(v) for v in values)
+    group = _last_group(values) - 1
+    if source == "deterministic":
+        if len(values) < 2:
+            raise InvalidArgumentError(
+                "the deterministic rule needs two group values")
+        first, other = group[0], group[1]
+        return lambda ells: np.where(ells % 3 == 0, first, other)
+    if source != "random":
+        raise InvalidArgumentError(f"unknown coefficient source {source!r}")
+    bounds = np.cumsum(_checked_probs(probs, values))
+    rng = coefficient_rng(seed)
+    drawn = 0
+
+    def groups(ells):
+        nonlocal drawn
+        if len(ells) and ells[0] != drawn + 1:
+            raise InvalidArgumentError(
+                f"random groups continue at edge {drawn + 1}, not {ells[0]}")
+        drawn += len(ells)
+        return group[_draw(rng, len(ells), bounds)]
+
+    return groups
 
 
 def _group_of(coeffs: np.ndarray, group_values) -> np.ndarray:
@@ -156,18 +192,9 @@ def build_stage(
         raise InvalidArgumentError("build_stage requires n >= 2")
     if source in ("deterministic", "random"):
         group_values = tuple(float(v) for v in values)
-        value_arr = np.asarray(group_values)
-        group = _last_group(group_values)
-        if source == "deterministic":
-            # edge l = 3, 6, 9, ... (index 2, 5, 8, ...) takes the first value
-            coeff_arr = np.full(n, value_arr[1])
-            coeff_arr[2::3] = value_arr[0]
-            group_of = np.full(n, group[1])
-            group_of[2::3] = group[0]
-        else:
-            draw = _random_draw(n, seed, probs, group_values)
-            coeff_arr = value_arr[draw]
-            group_of = group[draw]
+        group_of = edge_groups(source, seed=seed, probs=probs,
+                               values=group_values)(np.arange(1, n + 1)) + 1
+        coeff_arr = np.asarray(group_values)[group_of - 1]
     elif source == "explicit":
         if coeffs is None:
             raise InvalidArgumentError("explicit source requires coeffs")

@@ -14,11 +14,11 @@ hbar = lim h/n, and 1 - t composed in under ``orientation`` "rim".
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from ._record import Record
 from .errors import InvalidArgumentError
 from .femsolve import solve_stage
 from .forcing import GridFunction, ForcingField, family, profile_moment
@@ -36,44 +36,34 @@ def _as_callable(f):
     raise InvalidArgumentError("group forcing must be callable or a GridFunction")
 
 
-@dataclass(frozen=True)
-class UpscaledProblem:
+class UpscaledProblem(Record):
     """Limit problem data: shares s, group values K, group forcings, datum.
 
     fbar entries may be callables t -> value or GridFunctions (interpolated
     linearly); they are normalized to callables on construction.
     """
 
-    s: tuple
-    K: tuple
-    fbar: tuple
-    hbar: float = 0.0
-
-    def __post_init__(self):
-        s = tuple(float(v) for v in self.s)
-        K = tuple(float(v) for v in self.K)
-        if not (len(s) == len(K) == len(self.fbar)) or not s:
+    def __init__(self, s: tuple, K: tuple, fbar: tuple, hbar: float = 0.0):
+        s = tuple(float(v) for v in s)
+        K = tuple(float(v) for v in K)
+        if not (len(s) == len(K) == len(fbar)) or not s:
             raise InvalidArgumentError("s, K, fbar must share a positive length")
         if any(v <= 0 for v in s) or abs(sum(s) - 1.0) > 1e-9:
             raise InvalidArgumentError("shares must be positive and sum to 1")
         if any(v <= 0 for v in K):
             raise InvalidArgumentError("group coefficient values must be positive")
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "K", K)
-        object.__setattr__(self, "fbar", tuple(_as_callable(f) for f in self.fbar))
-        object.__setattr__(self, "hbar", float(self.hbar))
+        self._set(s=s, K=K, fbar=tuple(_as_callable(f) for f in fbar),
+                  hbar=float(hbar))
 
     @property
     def groups(self) -> int:
         return len(self.s)
 
 
-@dataclass(frozen=True)
-class HomogenizedSolution:
-    problem: UpscaledProblem
-    m: int
-    center: float
-    grids: tuple
+class HomogenizedSolution(Record):
+    def __init__(self, problem: UpscaledProblem, m: int, center: float,
+                 grids: tuple):
+        self._set(problem=problem, m=m, center=center, grids=grids)
 
     def edge_flux(self, i: int) -> float:
         """K_i times the discrete slope of pbar_i at the center."""

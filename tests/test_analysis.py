@@ -1,5 +1,8 @@
 """Averages, norms, tables, window diagnostics, rates, equidistribution."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from starfem import (
     builtin_field,
     cauchy_diagnostics,
     cesaro_solution_average,
+    coefficient_random,
     continuum_error_norms,
     convergence_table,
     grid_norms,
@@ -31,10 +35,11 @@ from starfem import (
     weyl_fraction,
 )
 from starfem import analysis, femsolve
+from starfem._rng import coefficient_rng
 from starfem.analysis import group_average_sweep
 from starfem.expcli import main
 from starfem.femsolve import center_identity_residual
-from starfem.stargraph import group_star
+from starfem.stargraph import edge_groups, group_star
 
 PI = np.pi
 
@@ -242,19 +247,19 @@ class TestGroupAverageSweep:
                                               ("ex2", "deterministic")])
     def test_small_blocks_and_chunks_match_full_solve(self, family, coeff,
                                                       monkeypatch):
-        # m = 12 and two groups: blocks of 5 edges, chunks of 6 stages, so
+        # m = 12 and two groups: blocks of 2 edges, chunks of 6 stages, so
         # one block spans several stages and the stages span three chunks
         # (ex2 restarts per stage and walks each one in blocks)
         monkeypatch.setattr(analysis, "SWEEP_BLOCK_VALUES", 180)
         stages = (3, 4, 5, 6, 7, 9, 12, 13, 14, 20, 21, 22, 40, 41)
-        load_sums = analysis.group_load_sums
+        load_terms = analysis.group_load_terms
         segments = []
 
         def spy(field, ells, key, groups, m):
             segments.append(np.unique(np.asarray(key) // 2).size)
-            return load_sums(field, ells, key, groups, m)
+            return load_terms(field, ells, key, groups, m)
 
-        monkeypatch.setattr(analysis, "group_load_sums", spy)
+        monkeypatch.setattr(analysis, "group_load_terms", spy)
         m = 12
         chunks = list(group_average_sweep(family, stages, m, coeff=coeff,
                                           seed=5, h=0.3))
@@ -360,6 +365,141 @@ class TestGroupAverageSweep:
         out = tmp_path / "t.csv"
         assert main(["table", "--config", str(cfg), "--out", str(out)]) == 3
         assert not out.exists()
+
+
+class TestStarFreeSweep:
+    """The sweep draws each block's groups itself and holds no n-array."""
+
+    # 20 stages: with blocks of 7 edges and chunks of 17 stages, blocks
+    # split inside stages, some blocks span several stages, and the second
+    # chunk continues the walk of the first
+    STAGES = (2, 3, 5, 8, 13, 16, 17, 18, 30, 31, 45, 50, 64, 65, 66, 90,
+              100, 101, 128, 150)
+
+    def _split_sweep(self, monkeypatch, family, coeff, m, **kwargs):
+        monkeypatch.setattr(analysis, "SWEEP_BLOCK_VALUES", 448)
+        blocks = []
+        load_terms = analysis.group_load_terms
+
+        def spy(field, ells, key, groups, m):
+            blocks.append((int(ells[0]), int(ells[-1]), groups))
+            return load_terms(field, ells, key, groups, m)
+
+        monkeypatch.setattr(analysis, "group_load_terms", spy)
+        chunks = list(group_average_sweep(family, self.STAGES, m, coeff=coeff,
+                                          seed=11, **kwargs))
+        return chunks, blocks
+
+    @pytest.mark.parametrize("coeff", ["deterministic", "random"])
+    @pytest.mark.parametrize("family", ["ex3", "ex5"])
+    def test_matches_build_stage_and_full_solve(self, monkeypatch, family,
+                                                coeff):
+        m = 12
+        chunks, blocks = self._split_sweep(monkeypatch, family, coeff, m,
+                                           h=0.4)
+        assert len(chunks) == 2
+        assert max(hi - lo + 1 for lo, hi, _ in blocks) == 7
+        assert max(groups for _, _, groups in blocks) > 2  # spans stages
+        inside = [n for n in self.STAGES
+                  if any(lo <= n < hi for lo, hi, _ in blocks)]
+        assert len(inside) >= 10  # stages that end inside a block
+        for n, counts, center, averages, _ in _stages(chunks):
+            stage = build_stage(n, coeff, seed=11)
+            sol = solve_stage(stage, builtin_field(family), 0.4, m)
+            assert counts.tolist() == [int(stage.group_mask(i).sum())
+                                       for i in (1, 2)]
+            scale = np.max(np.abs(sol.values))
+            assert abs(center - sol.center) <= 1e-13 * scale
+            for i, got in enumerate(averages, start=1):
+                if counts[i - 1]:
+                    ref = cesaro_solution_average(sol, i).values
+                    assert np.max(np.abs(got - ref)) <= 1e-13 * scale
+
+    def test_ex2_restarts_noise_and_coefficients_per_stage(self,
+                                                           monkeypatch):
+        # each stage redraws its noise, so each walk starts again at edge 1
+        # with a fresh coefficient stream
+        m = 10
+        chunks, blocks = self._split_sweep(monkeypatch, "ex2", "random", m)
+        assert len(chunks) == len(self.STAGES)
+        assert sum(lo == 1 for lo, _, _ in blocks) == len(self.STAGES)
+        for n, counts, center, averages, _ in _stages(chunks):
+            sol = solve_example_stage("ex2", n, m, coeff="random", seed=11)
+            scale = np.max(np.abs(sol.values))
+            assert abs(center - sol.center) <= 1e-13 * scale
+            for i, got in enumerate(averages, start=1):
+                if counts[i - 1]:
+                    ref = cesaro_solution_average(sol, i).values
+                    assert np.max(np.abs(got - ref)) <= 1e-13 * scale
+
+    def test_peak_memory_does_not_grow_with_n(self):
+        def peak(n):
+            stages = [10**k for k in range(1, 7) if 10**k <= n]
+            tracemalloc.start()
+            try:
+                for _ in group_average_sweep("ex3", stages, 100):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(10**5), peak(10**6)
+        # a star of 10^6 edges alone would add 16 MB
+        assert abs(large - small) <= 2**18
+        assert large <= 4 * 2**20
+
+    @pytest.mark.parametrize("coeff", ["deterministic", "random"])
+    def test_group_sums_of_a_long_stage_match_fsum(self, monkeypatch, coeff):
+        n = 10**6
+        yielded = []
+        group_terms = analysis._group_terms
+
+        def spy(*args):
+            for ends, counts, terms in group_terms(*args):
+                yielded.append(terms.copy())
+                yield ends, counts, terms
+
+        monkeypatch.setattr(analysis, "_group_terms", spy)
+        list(group_average_sweep("ex3", [n], 8, coeff=coeff, seed=2))
+        (terms,), = yielded  # (1, groups, [A of class 0, A of class 1, c])
+        ells = np.arange(1, n + 1)
+        A, b, c = builtin_field("ex3").sine_coeffs(ells)
+        group = build_stage(n, coeff, seed=2).group_of - 1
+        for i in (0, 1):
+            for j, freq in enumerate((2 * PI, PI)):
+                # positive terms: no cancellation to hide behind
+                ref = math.fsum(A[(group == i) & (b == freq)])
+                assert abs(terms[i, j] - ref) <= 1e-14 * abs(ref)
+            ref = math.fsum(c[group == i])
+            assert abs(terms[i, 2] - ref) <= 1e-12 * abs(ref)
+
+
+class TestEdgeGroups:
+    def test_random_blocks_draw_one_coefficient_stream(self):
+        probs, values = (0.2, 0.3, 0.5), (1.0, 2.0, 3.0)
+        groups = edge_groups("random", seed=7, probs=probs, values=values)
+        cuts = [0, 1, 5, 1000, 1003, 4097, 5000]
+        drawn = np.concatenate([groups(np.arange(lo + 1, hi + 1))
+                                for lo, hi in zip(cuts, cuts[1:])])
+        ref = coefficient_random(5000, 7, probs, values)
+        assert np.array_equal(np.asarray(values)[drawn], ref)
+        # the stream itself: value i where the uniform draw first falls
+        # below the cumulative probability of i
+        u = coefficient_rng(7).random(5000)
+        pick = np.searchsorted(np.cumsum(probs), u, side="right")
+        assert np.array_equal(np.asarray(values)[np.minimum(pick, 2)], ref)
+
+    def test_random_blocks_must_be_consecutive(self):
+        groups = edge_groups("random", seed=7)
+        groups(np.arange(1, 11))
+        with pytest.raises(InvalidArgumentError, match="edge 11"):
+            groups(np.arange(12, 20))
+
+    def test_deterministic_rule_needs_two_values(self):
+        with pytest.raises(InvalidArgumentError):
+            edge_groups("deterministic", values=(2.0,))
+        with pytest.raises(InvalidArgumentError):
+            edge_groups("explicit")
 
 
 class TestReferenceGrids:

@@ -253,6 +253,20 @@ class TestMain:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_reference_with_more_curves_than_groups_exits_2(self, tmp_path,
+                                                             capsys):
+        # the printed ex1 reference is a pair of curves; one group value
+        # makes one group
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("example=ex1\ncoeff=random\nprobs=1\nvalues=2\n"
+                       "reference=printed\nstages=10,20\nmesh=8\n")
+        out = tmp_path / "t.csv"
+        assert main(["table", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "reference printed has 2 curves" in err
+        assert "1 group (values = 2.0)" in err
+        assert not out.exists()
+
     def test_threads_is_not_a_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(BASE + "threads=2\n")
@@ -291,6 +305,36 @@ class TestMain:
         assert "budget" in capsys.readouterr().err
         assert peak < 2**20
         assert not out.exists()
+
+    @pytest.mark.parametrize("example,stages,accepted", [
+        # no array grows with n: an ex3 table to 10^8 fits the work budget
+        ("ex3", f"10,{10**8}", True),
+        ("ex3", f"10,{10**9}", False),
+        ("ex3", f"{6 * 10**7},{7 * 10**7},{8 * 10**7}", True),
+        # ex2 walks every stage from edge 1
+        ("ex2", f"{4 * 10**7},{5 * 10**7},{6 * 10**7},{65 * 10**6}", False),
+        ("ex3", f"{4 * 10**7},{5 * 10**7},{6 * 10**7},{65 * 10**6}", True),
+    ])
+    def test_sweep_work_budget(self, example, stages, accepted):
+        text = f"example={example}\nstages={stages}\nmesh=100\n"
+        if accepted:
+            parse_config(text)
+            return
+        with pytest.raises(ConfigError, match="budget of 17179869184 edge"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("emit,lines,largest", [
+        # within the work budget, but ex2 draws noise for each stage's edges
+        ("table", f"stages=10,{10**8}", 10**8),
+        ("cauchy", f"centers={10**8}\nwindow=2", 10**8 + 1),
+    ])
+    def test_ex2_noise_counts_against_the_array_budget(self, emit, lines,
+                                                       largest):
+        text = f"example=ex2\nemit={emit}\n{lines}\nmesh=100\n"
+        with pytest.raises(ConfigError, match=f"arrays of {largest} values, "
+                           "more than the budget of 67108864;"):
+            parse_config(text)
+        parse_config(text.replace("ex2", "ex3"))
 
     @pytest.mark.parametrize("lines", [
         "orientation=rim\nreference=upscaled",
@@ -392,6 +436,32 @@ class TestMain:
             env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_no_class_is_built_at_import_by_dataclasses(self, tmp_path):
+        # a frozen dataclass costs ~1 ms of start-up to build; every module
+        # a table needs is still loaded by importing the CLI
+        src = os.path.dirname(os.path.dirname(
+            os.path.abspath(sys.modules["starfem"].__file__)))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE + f"out={tmp_path / 't.csv'}\n")
+        code = (
+            "import sys, starfem.expcli\n"
+            "loaded = set(sys.modules)\n"
+            "classes = [c for m in list(sys.modules.values())\n"
+            "           if m and m.__name__.startswith('starfem')\n"
+            "           for c in vars(m).values() if isinstance(c, type)]\n"
+            "assert classes\n"
+            "print([c.__name__ for c in classes\n"
+            "       if hasattr(c, '__dataclass_fields__')])\n"
+            "starfem.expcli.main(['table', '--config', sys.argv[1]])\n"
+            "print(sorted(m for m in set(sys.modules) - loaded\n"
+            "             if m.startswith(('starfem', 'dataclasses'))))\n")
+        proc = subprocess.run([sys.executable, "-c", code, str(cfg)],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "[]" and lines[-1] == "[]"
 
 
 _TOKENS = st.sampled_from([

@@ -1,6 +1,5 @@
 """Stage assembly and the arrowhead solve, against dense references."""
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -33,7 +32,8 @@ from starfem import (
     solve_stage,
 )
 from starfem import femsolve
-from starfem.femsolve import ArrowheadSystem, assemble_reduced, group_load_sums
+from starfem.femsolve import (ArrowheadSystem, assemble_reduced,
+                              group_load_terms, load_basis)
 
 PI = np.pi
 
@@ -123,7 +123,7 @@ class TestFactorizedLoads:
         field = builtin_field(family, dict(params, orientation=orientation),
                               seed=4)
         assert field.sine_coeffs is not None
-        per_edge = dataclasses.replace(field, sine_coeffs=None)
+        per_edge = field.replace(sine_coeffs=None)
         for m in (2, 37):
             fast = assemble_loads(field, stage, m)
             ref = assemble_loads(per_edge, stage, m)
@@ -131,8 +131,11 @@ class TestFactorizedLoads:
             assert np.max(np.abs(fast - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("family,params", [
+        ("ex1", {}),
         ("ex3", {"orientation": "rim"}),
+        ("ex4", {}),
         ("ex5", {}),
+        ("constant", {"c": 1.5}),
         ("manufactured", {}),
     ])
     def test_group_load_sums_match_assembled_loads(self, family, params):
@@ -142,10 +145,16 @@ class TestFactorizedLoads:
         loads = assemble_loads(field, stage, 13)
         ref = np.array([loads[stage.group_mask(i)].sum(axis=0)
                         for i in (1, 2, 3)])
-        # two blocks of edges summed separately, as a sweep would
-        sums = sum(group_load_sums(field, np.arange(lo + 1, hi + 1),
-                                   stage.group_of[lo:hi] - 1, 3, 13)
+        # two blocks of edges summed separately, as a sweep would, over
+        # the basis of a field with at most two frequencies
+        sums = sum(group_load_terms(field, np.arange(lo + 1, hi + 1),
+                                    stage.group_of[lo:hi] - 1, 3, 13)
                    for lo, hi in ((0, 23), (23, 60)))
+        basis = load_basis(field, 13)
+        assert (basis is None) == (family in ("ex5", "manufactured"))
+        if basis is not None:
+            assert sums.shape == (3, len(field.frequencies) + 1)
+            sums = sums @ basis
         assert np.max(np.abs(sums - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_many_groups_form_no_dense_pair_table(self):
@@ -158,7 +167,7 @@ class TestFactorizedLoads:
         ref = assemble_loads(field, build_stage(500), 10)
         tracemalloc.start()
         try:
-            sums = group_load_sums(field, ells, key, 2000, 10)
+            sums = group_load_terms(field, ells, key, 2000, 10)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -298,8 +307,7 @@ class TestSolve:
         stage = build_stage(len(coeffs), source="explicit", coeffs=coeffs)
         loads = np.random.default_rng(seed).standard_normal((len(coeffs),
                                                             m + 1))
-        system = dataclasses.replace(
-            assemble(stage, builtin_field("constant"), h, m),
+        system = assemble(stage, builtin_field("constant"), h, m).replace(
             rhs_interior=loads[:, 1:m].copy(),
             rhs_center=float(loads[:, 0].sum()) + h, node_loads=loads)
         sol = solve(system)
@@ -404,13 +412,13 @@ class TestStackedSolve:
         with pytest.raises(NumericalBreakdownError,
                            match=r"exceeds 1e-12 \(stacked system 3\)"
                            ) as info:
-            solve(dataclasses.replace(system, block_diag=diag))
+            solve(system.replace(block_diag=diag))
         assert info.value.stages == (3,)
         off = system.block_off.copy()
         off[1, 0] = np.nan
         off[4, 1] = 1.0
         with pytest.raises(NumericalBreakdownError, match="pivot") as info:
-            solve(dataclasses.replace(system, block_off=off))
+            solve(system.replace(block_off=off))
         assert info.value.stages == (1, 4)
 
 
@@ -420,7 +428,7 @@ class TestBreakdown:
 
     def test_negative_pivot_detected(self):
         system = self._healthy()
-        bad = dataclasses.replace(system, block_diag=-system.block_diag)
+        bad = system.replace(block_diag=-system.block_diag)
         with pytest.raises(NumericalBreakdownError):
             solve(bad)
 
@@ -429,12 +437,12 @@ class TestBreakdown:
         diag = system.block_diag.copy()
         diag[1, 2] = np.nan
         with pytest.raises(NumericalBreakdownError):
-            solve(dataclasses.replace(system, block_diag=diag))
+            solve(system.replace(block_diag=diag))
 
     def test_bad_schur_scalar_detected(self):
         system = self._healthy()
         with pytest.raises(NumericalBreakdownError):
-            solve(dataclasses.replace(system, center_diag=0.0))
+            solve(system.replace(center_diag=0.0))
 
 
 class TestIdentities:

@@ -156,6 +156,31 @@ def test_growing_frequency_family_formula():
     assert FAMILIES["ex5"].classes({}) is None
 
 
+@pytest.mark.parametrize("example", FAMILY_IDS)
+def test_declared_frequencies_are_the_edges_frequencies(example):
+    # the sweep keys each edge by its index in ``frequencies``; a family
+    # without the declaration (ex5: one frequency per edge) sorts instead
+    params = {"n_edges": 3000} if example == "ex2" else {}
+    f = builtin_field(example, params, seed=1)
+    if f.frequencies is None:
+        assert example in ("ex5", "manufactured")
+        return
+    assert 1 <= len(f.frequencies) <= 2
+    ells = np.arange(1, 3001)
+    b = np.broadcast_to(f.sine_coeffs(ells)[1], ells.shape)
+    assert set(np.unique(b).tolist()) <= set(f.frequencies)
+
+
+def test_angular_parts_match_their_formulas_bitwise():
+    # the signs come from parities, not float powers
+    ells = np.arange(1, 5001)
+    c3 = builtin_field("ex3").sine_coeffs(ells)[2]
+    assert np.array_equal(
+        c3, (-1.0) ** (ells // 6) * 10.0 * np.mod(ells, 2 * PI))
+    c4 = builtin_field("ex4").sine_coeffs(ells)[2]
+    assert np.array_equal(c4, (-1.0) ** ells * np.sqrt(ells.astype(float)))
+
+
 def test_constant_family():
     f = builtin_field("constant", {"c": 2.5})
     t = np.linspace(0, 1, 5)
