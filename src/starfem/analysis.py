@@ -29,7 +29,7 @@ from .femsolve import (StageSolution, assemble_reduced, group_load_terms,
                        load_basis, solve, solve_stage)
 from .forcing import GridFunction, builtin_field
 from .stargraph import (GROUP_PROBS, GROUP_VALUES, TWO_PI, build_stage,
-                        edge_groups)
+                        edge_groups, every_third)
 from .upscale import (analytic_oracle, build_upscaled, printed_curves,
                       solve_upscaled)
 
@@ -165,13 +165,38 @@ def solve_example_stage(example: str, n: int, m: int, *,
         raise NumericalBreakdownError(f"stage n={n}: {exc}") from exc
 
 
-#: float64 values a sweep holds per block of edges (Gauss-point rows of a
-#: field without a load basis) and per chunk of stages (group load sums)
+def largest_bh(example: str, n: int, m: int, *, seed: int = 0,
+               parameters: dict | None = None):
+    """The largest b h over edges 1..n at h = 1/m, or None.
+
+    b is the frequency of a sine family (None for any other field). Every
+    built-in b depends on l only through its every-third-edge class and
+    grows with l within a class, so edges n-2..n hold the largest. Past
+    b h = pi the 3-point Gauss loads alias.
+    """
+    field = builtin_field(example, _stage_parameters(example, n, parameters),
+                          seed=seed)
+    if field.sine_coeffs is None:
+        return None
+    ells = np.arange(max(1, n - 2), n + 1)
+    b = np.broadcast_to(field.sine_coeffs(ells)[1], ells.shape)
+    return float(np.max(np.abs(b))) / m
+
+
+#: float64 values a sweep holds per block of edges: its per-edge scalars,
+#: the Gauss-point rows of a field without a load basis or a fold, and the
+#: folded weights W of the block's segments (g (2m + 3) per segment, which
+#: the chunk's 2^14 / (m + 1) segments keep below 2^16)
 SWEEP_BLOCK_VALUES = 1 << 20
 
-#: float64 scalars a block holds per edge (index, group, key, A, b, c and
-#: their temporaries), which caps a block at 2^14 edges
+#: float64 scalars a block holds per edge (index, group, key, A, b or q, c,
+#: the fold's G and H and their temporaries), which caps a block at 2^14
+#: edges
 _EDGE_SCALARS = 64
+
+#: float64 values of each (S, g, m+1) array of a chunk of S stages (load
+#: sums, averages, and the stacked solve's and gate's temporaries)
+SWEEP_CHUNK_VALUES = 1 << 14
 
 
 def group_average_sweep(example: str, stages: Sequence[int], m: int, *,
@@ -187,29 +212,31 @@ def group_average_sweep(example: str, stages: Sequence[int], m: int, *,
 
     No array of the walk has a length in n (ex2's field holds one: the
     noise of its stage). The stages are taken in chunks of S, with
-    S g (m+1) <= SWEEP_BLOCK_VALUES for g groups. Within a chunk the edges
+    S g (m+1) <= SWEEP_CHUNK_VALUES for g groups. Within a chunk the edges
     are walked once, in increasing index and in blocks, and each block
-    draws its own groups (``edge_groups``: ``l % 3`` for the deterministic
-    rule, the next stretch of one seeded stream for random coefficients).
-    Edge l is keyed by segment g + group, where its segment
-    (``searchsorted(stages, l)``) is the first stage of the chunk that
-    contains it, counted from the block's first segment, and one
+    draws its own groups (``edge_groups``: the ``every_third`` mask for the
+    deterministic rule, evaluated once per block and handed on to the
+    forcing declaration too; the next stretch of one seeded stream for
+    random coefficients). Edge l is keyed by segment g + group, where its
+    segment (``searchsorted(stages, l)``) is the first stage of the chunk
+    that contains it, counted from the block's first segment, and one
     ``group_load_terms`` call per block sums its loads per key: for a field
     with a ``load_basis`` (at most two frequencies) as k+1 scalars per key
-    from a keyed ``bincount``, so a block is capped only by its per-edge
-    scalars, SWEEP_BLOCK_VALUES // _EDGE_SCALARS edges; otherwise (ex5, one
-    frequency per edge) as load vectors, with at most SWEEP_BLOCK_VALUES
-    Gauss-point values a block. Blocks add into the chunk's per-segment
-    sums (the keyed ``bincount`` already sums in short runs, which keeps
-    a 10^7-edge table within 1e-9 of ``math.fsum``). One cumsum over the
-    segments then gives
-    every stage's group sums, on top of those carried from the chunk
-    before. The chunk's stages that share their set of non-empty groups
-    are assembled into one stack of g-edge reduced systems and solved by
-    one ``solve`` call, whose backward-error gate certifies each stage of
-    the stack; a breakdown names the stage. ``ex2`` redraws its noise for
-    each stage size, so its walk (coefficients included) restarts from
-    edge 1 per stage. ``h`` is a number or a function of n.
+    from a keyed ``bincount``; for ex5, whose frequencies are multiples of
+    pi, as load sums folded over q mod 2m (``folded_weights``). Either way
+    a block is capped only by its per-edge scalars, SWEEP_BLOCK_VALUES //
+    _EDGE_SCALARS edges. Other fields sum load vectors from at most
+    SWEEP_BLOCK_VALUES Gauss-point values a block. Blocks add into the
+    chunk's per-segment sums (the keyed ``bincount`` already sums in short
+    runs, which keeps a 10^7-edge table within 1e-9 of ``math.fsum``). One
+    cumsum over the segments then gives every stage's group sums, on top
+    of those carried from the chunk before. The chunk's stages that share
+    their set of non-empty groups are assembled into one stack of g-edge
+    reduced systems and solved by one ``solve`` call, whose backward-error
+    gate certifies each stage of the stack; a breakdown names the stage.
+    ``ex2`` redraws its noise for each stage size, so its walk
+    (coefficients included) restarts from edge 1 per stage. ``h`` is a
+    number or a function of n.
     """
     stages = [int(n) for n in stages]
     if any(b <= a for a, b in zip(stages, stages[1:])):
@@ -223,7 +250,7 @@ def group_average_sweep(example: str, stages: Sequence[int], m: int, *,
     h_of = h if callable(h) else (lambda n: float(h))
     group_values = np.array(values, dtype=float)
     g = len(group_values)
-    chunk = max(1, SWEEP_BLOCK_VALUES // (g * (m + 1)))
+    chunk = max(1, SWEEP_CHUNK_VALUES // (g * (m + 1)))
     restart = example == "ex2" and "n_edges" not in (parameters or {})
     for walk in ([[n] for n in stages] if restart else [stages]):
         groups_of = edge_groups(coeff, seed=seed, probs=probs, values=values)
@@ -232,10 +259,10 @@ def group_average_sweep(example: str, stages: Sequence[int], m: int, *,
             seed=seed)
         basis = load_basis(field, m)
         block = SWEEP_BLOCK_VALUES // _EDGE_SCALARS
-        if basis is None:
+        if basis is None and field.pi_sine_coeffs is None:
             block = min(block, SWEEP_BLOCK_VALUES // (3 * m))
-        terms = _group_terms(field, groups_of, walk, g, m, max(1, block),
-                             chunk)
+        terms = _group_terms(field, groups_of, coeff == "deterministic",
+                             walk, g, m, max(1, block), chunk)
         for ends, counts, sums in terms:
             if np.any((counts[-1] > 0) & ~(group_values > 0)):
                 raise InvalidArgumentError(
@@ -248,14 +275,16 @@ def group_average_sweep(example: str, stages: Sequence[int], m: int, *,
             yield ends, counts, centers, averages, sums
 
 
-def _group_terms(field, groups_of, walk, g: int, m: int, block: int,
-                 chunk: int):
+def _group_terms(field, groups_of, by_third: bool, walk, g: int, m: int,
+                 block: int, chunk: int):
     """Per chunk of the stages ``walk``: (stages, counts, terms).
 
     ``terms`` (S, g, r) are the group load sums of each stage over the
     field's ``load_basis`` (``group_load_terms``), ``counts`` (S, g) the
     group sizes; edges are walked in blocks of ``block``, grouped by
-    ``groups_of``, and added into each chunk's per-segment sums.
+    ``groups_of``, and added into each chunk's per-segment sums. With
+    ``by_third`` the groups follow the every-third-edge rule, whose mask
+    each block evaluates once for its groups and its loads.
     """
     total = counts = None
     done = 0
@@ -269,11 +298,13 @@ def _group_terms(field, groups_of, walk, g: int, m: int, block: int,
             ells = np.arange(start + 1, min(start + block, part[-1]) + 1)
             # keys relative to the block's own segments [first, last]
             first, last = np.searchsorted(ends, ells[[0, -1]])
-            key = groups_of(ells)
+            third = every_third(ells) if by_third else None
+            key = groups_of(ells, third)
             if last > first:
                 key += (np.searchsorted(ends, ells) - first) * g
             width = (last - first + 1) * g
-            block_terms = group_load_terms(field, ells, key, width, m)
+            block_terms = group_load_terms(field, ells, key, width, m,
+                                           third=third)
             if seg is None:
                 seg = np.zeros((nkeys, block_terms.shape[1]))
             at = first * g
@@ -319,8 +350,13 @@ def _stacked_solve(stages: np.ndarray, counts: np.ndarray, group_values,
 
 
 def _sweep_arrays(example: str, stages, m: int, **kwargs):
-    """The sweep's per-chunk arrays joined over all stages, or None."""
-    chunks = list(group_average_sweep(example, stages, m, **kwargs))
+    """The sweep's sizes, counts, centers and averages over all stages.
+
+    Joined from its chunks, or None; the load sums are let go chunk by
+    chunk, since tables and windows read only the averages.
+    """
+    chunks = [chunk[:4] for chunk in
+              group_average_sweep(example, stages, m, **kwargs)]
     return tuple(map(np.concatenate, zip(*chunks))) if chunks else None
 
 
@@ -378,7 +414,7 @@ def convergence_table(example: str, stages: Sequence[int], m: int, reference,
                           h=h)
     if sweep is None or not refs:
         return []
-    ns, counts, centers, averages, _ = sweep
+    ns, counts, centers, averages = sweep
     g = len(refs)
     empty = np.argwhere(counts[:, :g] == 0)
     if empty.size:
@@ -427,7 +463,7 @@ def cauchy_diagnostics(example: str, centers: Sequence[int], window: int = 10,
                           h=h)
     if sweep is None:
         return []
-    _, counts, _, averages, _ = sweep
+    _, counts, _, averages = sweep
     # the distance between each needed stage and the one before it, every
     # group in one pass; a window's stages are consecutive in ``needed``,
     # so window c covers pairs first[c] .. first[c] + window - 1

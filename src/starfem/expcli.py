@@ -25,8 +25,9 @@ from typing import NamedTuple
 import numpy as np
 
 from ._rng import PRNG_NAME
-from .analysis import (cauchy_diagnostics, convergence_table, rate_from_errors,
-                       solve_example_stage, weyl_cos_mean, weyl_fraction)
+from .analysis import (cauchy_diagnostics, convergence_table, largest_bh,
+                       rate_from_errors, solve_example_stage, weyl_cos_mean,
+                       weyl_fraction)
 from .errors import (ConfigError, EmptyGroupError, InvalidArgumentError,
                      NumericalBreakdownError, UndefinedRateError)
 from .femsolve import (_edge_identity_defects, center_flux_sum,
@@ -365,13 +366,24 @@ def _stage_kwargs(config: ExperimentConfig) -> dict:
                 values=config.values, parameters=config.parameters())
 
 
+def _sweep_comments(config: ExperimentConfig) -> list:
+    """The largest b h of a sine family's sweep, flagged past pi."""
+    _, largest, _ = _sweep_size(config)
+    bh = largest_bh(config.example, largest, config.mesh, seed=config.seed,
+                    parameters=config.parameters())
+    if bh is None:
+        return []
+    alias = " (above pi: the 3-point Gauss loads alias)" if bh > np.pi else ""
+    return [f"max_bh={FLOAT_FMT.format(bh)}{alias}"]
+
+
 def _run_table(config: ExperimentConfig) -> str:
     rows = convergence_table(config.example, config.stages, config.mesh,
                              config.reference, h=config.h_of,
                              full_h1=config.full_h1, **_stage_kwargs(config))
     out = [(r.n, r.group, r.l2_error, r.h1_error, r.center_value,
             r.reference_id, r.m, r.seed) for r in rows]
-    return _write_csv(config, _out_path(config), [],
+    return _write_csv(config, _out_path(config), _sweep_comments(config),
                       ["n", "group", "l2_error", "h1_error", "center_value",
                        "reference", "m", "seed"], out)
 
@@ -381,7 +393,7 @@ def _run_cauchy(config: ExperimentConfig) -> str:
                               config.mesh, h=config.h_of,
                               full_h1=config.full_h1, **_stage_kwargs(config))
     out = [(r.n, r.group, r.epsilon, r.delta, r.window) for r in rows]
-    return _write_csv(config, _out_path(config), [],
+    return _write_csv(config, _out_path(config), _sweep_comments(config),
                       ["n", "group", "epsilon", "delta", "window"], out)
 
 

@@ -20,9 +20,16 @@ coefficient n_i K_i and the group's load sum (``assemble_reduced``). A
 sine family with at most two frequencies has a ``load_basis``: every edge
 load combines its k+1 rows, so a group's load sum needs only the k+1 sums
 of its edges' scalars, which ``group_load_terms`` takes with one keyed
-``bincount`` and no sort; other fields sum load vectors. The reduced
-system goes through the same ``solve`` and gate; tables and Cauchy
-windows use it, the full system the other emits.
+``bincount`` and no sort. A family whose frequencies are integer multiples
+pi q of pi (ex5) is folded: the rule is symmetric, so the 3-point Gauss
+load of A sin(pi q s) at interior node k is A G sin(pi q k / m), and that
+sine depends only on q mod 2m. A group's load sum is then the sum over r
+= q mod 2m of W_r sin(pi r k / m), with W_r the keyed ``bincount`` of A G,
+taken as one real FFT of length 2m, plus the two half hats at the ends:
+O(1) work per edge and O(m log m) per group, however large q. Other
+fields sum load vectors from their Gauss points. The reduced system goes
+through the same ``solve`` and gate; tables and Cauchy windows use it,
+the full system the other emits.
 A system may carry leading axes that stack independent systems of one
 shape: ``solve``, ``apply`` and the gate work on the trailing axes, so
 many stages' reduced systems are assembled and solved in one pass, and
@@ -178,11 +185,22 @@ def _unit_row(m: int) -> np.ndarray:
     return _hat_loads(np.ones((1, m, 3)), m)[0]
 
 
-def _sine_scalars(field: ForcingField, ells: np.ndarray) -> tuple:
-    """(A, b, c) of a sine family at edges ``ells``, each an array per edge."""
+def _declared(declaration, field: ForcingField, ells: np.ndarray,
+              third=None, dtype=None) -> tuple:
+    """A declaration's per-edge scalars at edges ``ells``, one array each.
+
+    ``third`` is the ``every_third`` mask of ``ells`` when the caller has
+    it; the declaration then does not evaluate it again.
+    """
     ells = field._edges(ells)
-    return tuple(np.broadcast_to(np.asarray(v, dtype=float), ells.shape)
-                 for v in field.sine_coeffs(ells))
+    values = declaration(ells) if third is None else declaration(ells, third)
+    return tuple(np.broadcast_to(np.asarray(v, dtype=dtype), ells.shape)
+                 for v in values)
+
+
+def _sine_scalars(field: ForcingField, ells: np.ndarray, third=None) -> tuple:
+    """(A, b, c) of a sine family at edges ``ells``, each a float array."""
+    return _declared(field.sine_coeffs, field, ells, third, float)
 
 
 def _frequency_class(field: ForcingField, b: np.ndarray):
@@ -243,6 +261,94 @@ def load_basis(field: ForcingField, m: int):
     return np.vstack([_sine_rows(field, freqs, m), _unit_row(m)])
 
 
+#: d = x_3 - 1/2 = 1/2 - x_1 of the 3-point rule; both differences are
+#: exact in float64, so the rule held in floats is symmetric
+_GAUSS3_D = GAUSS3_X[2] - 0.5
+
+#: d = D 2^-28 + lo with an integer D < 2^27: q D is an exact int64 for
+#: q < 2^_D_SPAN, so q d is reduced mod 2m with no rounding but that of
+#: q lo (a sweep within MAX_SWEEP_WORK has q < 2^34)
+_D_BITS = 28
+_D_SPAN = 36
+_D_INT = round(_GAUSS3_D * 2**_D_BITS)
+_D_LO = _GAUSS3_D - _D_INT * 2.0**-_D_BITS
+
+
+def _fold_scalars(q: np.ndarray, m: int) -> tuple:
+    """(G, H) of the 3-point Gauss hat loads of sin(pi q s), per edge.
+
+    With theta = pi q / m and the points 1/2 -+ d, 1/2, the load at
+    interior node k is sin(pi q k / m) G with G = 2h sum_j w_j (1 - x_j)
+    cos(theta x_j), the center half hat is H = h sum_j w_j (1 - x_j)
+    sin(theta x_j), and the rim half hat is -(-1)^q H. Both are written
+    through cos and sin of theta / 2 and of theta d, each reduced mod 2 pi
+    before it is rounded, so the phase error does not grow with q: theta
+    / 2 is a multiple of pi / 2m, read from one table of node sines at
+    q mod 4m; q d is reduced mod 2m exactly through ``_D_INT``, and only
+    its cos and sin are evaluated per edge.
+    """
+    h = 1.0 / m
+    # sin(pi j / 2m) for j < 5m: sines at q mod 4m, cosines a quarter on
+    sines = np.sin(np.arange(5 * m) * (np.pi / (2 * m)))
+    half = q % (4 * m)
+    s1, c1 = sines[half], sines[half + m]
+    turns = (q * _D_INT) % ((2 * m) << _D_BITS) * 2.0**-_D_BITS + q * _D_LO
+    turns *= np.pi / m
+    u, v = np.cos(turns), np.sin(turns)
+    # u = h (w_1 cos(theta d) + w_2 / 2), v = 2 d h w_1 sin(theta d)
+    u *= h * GAUSS3_W[0]
+    u += h * GAUSS3_W[1] / 2
+    v *= 2 * _GAUSS3_D * h * GAUSS3_W[0]
+    G = c1 * u
+    G += s1 * v
+    G *= 2.0
+    H = s1 * u
+    H -= c1 * v
+    return G, H
+
+
+def folded_weights(field: ForcingField, ells: np.ndarray, group_index,
+                   groups: int, m: int, third=None) -> tuple:
+    """The folded load weights of edges ``ells`` per group.
+
+    For a field that declares ``pi_sine_coeffs`` (A, q, c): per group the
+    sums of A G over its edges with q mod 2m = r, (groups, 2m), and the
+    sums of A H, of the rim half hats -(-1)^q A H and of c, (groups,) each
+    (``_fold_scalars``), all from keyed ``bincount`` runs with no sort.
+    """
+    A, q, c = _declared(field.pi_sine_coeffs, field, ells, third)
+    if q.size and np.max(np.abs(q)) >= 2**_D_SPAN:
+        raise InvalidArgumentError(
+            f"{field.family_id}: b / pi reaches 2^{_D_SPAN}, past the exact "
+            f"phase reduction of the folded loads")
+    G, H = _fold_scalars(q, m)
+    G *= A
+    H *= A
+    group_index = np.asarray(group_index)
+    period = 2 * m
+    weights, = _keyed_sums(group_index * period + q % period,
+                           groups * period, G)
+    ends = _keyed_sums(group_index, groups, H, (2 * (q & 1) - 1) * H,
+                       c.astype(float, copy=False))
+    return (weights.reshape(groups, period), *ends)
+
+
+def _folded_load_sums(field: ForcingField, ells: np.ndarray, group_index,
+                      groups: int, m: int, third=None) -> np.ndarray:
+    """Group load sums (groups, m+1) of a folded field (``folded_weights``)."""
+    weights, center, rim, c_sums = folded_weights(field, ells, group_index,
+                                                  groups, m, third)
+    # sum_r W_r sin(pi r k / m) at the nodes k = 0..m is minus the imaginary
+    # part of the length-2m real FFT, whose m+1 outputs are those nodes
+    sums = -np.fft.rfft(weights, axis=-1).imag
+    sums[:, 0] = center
+    sums[:, m] = rim
+    if field.parameters.get("orientation", "center") == "rim":
+        sums = sums[:, ::-1]
+    sums += c_sums[:, None] * _unit_row(m)
+    return sums
+
+
 #: most consecutive entries of one key that ``_keyed_sums`` adds in sequence
 _RUN = 128
 
@@ -265,27 +371,32 @@ def _keyed_sums(key: np.ndarray, size: int, *weights) -> list:
 
 
 def group_load_terms(field: ForcingField, ells: np.ndarray, group_index,
-                     groups: int, m: int) -> np.ndarray:
+                     groups: int, m: int, third=None) -> np.ndarray:
     """Loads of edges ``ells`` summed per group, over ``load_basis``.
 
-    ``group_index[j]`` is the 0-based group of edge ells[j]. With a basis
-    of k frequency rows and the unit row, the result is (groups, k+1): per
-    group the sum of A over its edges of each frequency class, then the
-    sum of c, from one keyed ``bincount`` each and no sort. Without a basis
-    it is the (groups, m+1) load sums themselves: the per-edge scalars are
-    summed per (group, hat-load row) pair that occurs, so a sine family
-    never forms a load vector per edge, and the work stays O(len(ells) m)
-    however many groups there are. Either way the group load sums are
-    the result, times the basis when there is one.
+    ``group_index[j]`` is the 0-based group of edge ells[j]; ``third`` is
+    the ``every_third`` mask of ``ells`` when the caller has it. With a
+    basis of k frequency rows and the unit row, the result is (groups,
+    k+1): per group the sum of A over its edges of each frequency class,
+    then the sum of c, from one keyed ``bincount`` each and no sort.
+    Without a basis it is the (groups, m+1) load sums themselves: folded
+    over q mod 2m for a field that declares ``pi_sine_coeffs``
+    (``folded_weights``), so no load vector is formed per edge and the
+    work per edge does not grow with m; otherwise the per-edge scalars
+    are summed per (group, hat-load row) pair that occurs, and the work
+    stays O(len(ells) m) however many groups there are. Either way the
+    group load sums are the result, times the basis when there is one.
     """
     group_index = np.asarray(group_index)
     if field.sine_coeffs is not None and field.frequencies is not None:
-        A, b, c = _sine_scalars(field, ells)
+        A, b, c = _sine_scalars(field, ells, third)
         k = len(field.frequencies)
         key = group_index * k + _frequency_class(field, b)
         a_sums, c_sums = (v.reshape(groups, k)
                           for v in _keyed_sums(key, groups * k, A, c))
         return np.column_stack([a_sums, c_sums.sum(axis=1)])
+    if field.pi_sine_coeffs is not None:
+        return _folded_load_sums(field, ells, group_index, groups, m, third)
     rows, which, A, c, unit = _load_terms(field, ells, m)
     k = rows.shape[0]
     pairs, slot = np.unique(group_index * k + which, return_inverse=True)

@@ -7,9 +7,11 @@ the paper prints. ``builtin_field`` builds a field from the declaration;
 ``upscale`` builds the limit problem and the derived oracle from the rest.
 Every family but ``manufactured`` is A(l) sin(b(l) t) + c(l), declared by
 its per-edge arrays (A, b, c), which the load assembly reads directly to
-share one hat-load row between all edges with the same frequency b. The
-radial classes of ex3, ex4 and ex5 are written once, in
-``RADIAL_CLASSES``. Random families pre-draw their per-edge randomness.
+share one hat-load row between all edges with the same frequency b; ex5,
+whose b = pi q(l) differs on every edge, also declares the integer q, so
+its loads fold over q mod 2m. The radial classes of ex3, ex4 and ex5 are
+written once, in ``RADIAL_CLASSES``, and split the edges by
+``every_third``. Random families pre-draw their per-edge randomness.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import numpy as np
 from ._record import Record
 from ._rng import stage_rng
 from .errors import EmptyGroupError, InvalidArgumentError
-from .stargraph import StarStage, TWO_PI
+from .stargraph import StarStage, TWO_PI, every_third
 
 PI = np.pi
 
@@ -61,6 +63,10 @@ class ForcingField(Record):
     ``profile``. A field without one is assembled point by point. A sine
     family whose b takes at most two values declares them in
     ``frequencies``; edge l's frequency class is the index of its b there.
+    A sine family whose every b is an integer multiple of pi declares
+    ``pi_sine_coeffs(ells) -> (A, q, c)`` with the integer q = b / pi per
+    edge. A built-in declaration also takes the ``every_third`` mask of
+    ``ells`` as a second argument, when its caller has it.
     """
 
     def __init__(self, family_id: str, parameters: dict, seed: Optional[int],
@@ -68,10 +74,12 @@ class ForcingField(Record):
                  bounded_l2: Optional[float] = None,
                  max_edge: Optional[int] = None,
                  sine_coeffs: Optional[Callable[[np.ndarray], tuple]] = None,
-                 frequencies: Optional[tuple] = None):
+                 frequencies: Optional[tuple] = None,
+                 pi_sine_coeffs: Optional[Callable[[np.ndarray], tuple]] = None):
         self._set(family_id=family_id, parameters=parameters, seed=seed,
                   profile=profile, bounded_l2=bounded_l2, max_edge=max_edge,
-                  sine_coeffs=sine_coeffs, frequencies=frequencies)
+                  sine_coeffs=sine_coeffs, frequencies=frequencies,
+                  pi_sine_coeffs=pi_sine_coeffs)
 
     def _edges(self, ells) -> np.ndarray:
         """Edge indices as an int array, checked against 1..max_edge."""
@@ -105,23 +113,29 @@ def _sine_profile(coeffs):
     return profile
 
 
-#: (A, b) of the radial classes of ex3, ex4 and ex5: A sin(b t) with the
-#: first pair on every third edge (l = 3, 6, ...), the second elsewhere
-RADIAL_CLASSES = ((4 * PI**2, TWO_PI), (PI**2, PI))
+#: (A, b / pi) of the radial classes of ex3, ex4 and ex5: A sin(b t) with
+#: the first pair on every third edge (l = 3, 6, ...), the second elsewhere
+_RADIAL_PI = ((4 * PI**2, 2), (PI**2, 1))
+
+#: (A, b) of the radial classes
+RADIAL_CLASSES = tuple((A, PI * k) for A, k in _RADIAL_PI)
 
 #: factor k of the manufactured forcing k g, by the same every-third-edge rule
 MANUFACTURED_K = (1.0, 2.0)
 
 
-def _by_class(ells, *pairs):
-    """Per pair, pair[0] on every third edge and pair[1] on the others."""
-    first = ells % 3 == 0
+def _by_class(ells, *pairs, third=None):
+    """Per pair, pair[0] on every third edge and pair[1] on the others.
+
+    ``third`` is the ``every_third`` mask of ``ells`` if the caller has it.
+    """
+    first = every_third(ells) if third is None else third
     return tuple(np.where(first, a, b) for a, b in pairs)
 
 
-def _radial_groups(ells):
+def _radial_groups(ells, third=None):
     """(A, b) of the two-frequency radial part shared by ex3, ex4 and ex5."""
-    return _by_class(ells, *zip(*RADIAL_CLASSES))
+    return _by_class(ells, *zip(*RADIAL_CLASSES), third=third)
 
 
 def _angular_ex3(ells):
@@ -148,26 +162,33 @@ def manufactured_exact_deriv(t):
 
 
 # Per-family declarations: (parameters, seed) -> ForcingField keywords,
-# either ``sine_coeffs`` or ``profile``, plus ``bounded_l2``, ``max_edge``
-# and the ``frequencies`` of a family with at most two.
+# either ``sine_coeffs`` or ``profile``, plus ``bounded_l2``, ``max_edge``,
+# the ``frequencies`` of a family with at most two and the
+# ``pi_sine_coeffs`` of a family whose frequencies are multiples of pi.
 
 #: the frequencies of the radial classes, in class order
 _RADIAL_FREQUENCIES = tuple(b for _, b in RADIAL_CLASSES)
 
 
-def _fixed(sine, bound, frequencies=None):
+def _fixed(sine, bound, **declared):
     """Declaration of a family without parameters."""
     return lambda parameters, seed: dict(sine_coeffs=sine, bounded_l2=bound,
-                                         frequencies=frequencies)
+                                         **declared)
 
 
-def _ex1_sine(l):
+def _ex1_sine(l, third=None):
     return PI**2 * np.cos(l), PI, 0.0
 
 
-def _ex5_sine(l):
-    A, b = _radial_groups(l)
-    return A, b * l, 0.0
+def _ex5_pi_sine(l, third=None):
+    """(A, q, c) of ex5: b = pi q with q = 2 l on every third edge, else l."""
+    A, k = _by_class(l, *zip(*_RADIAL_PI), third=third)
+    return A, k * l, 0.0
+
+
+def _ex5_sine(l, third=None):
+    A, q, c = _ex5_pi_sine(l, third)
+    return A, PI * q, c
 
 
 def _ex2(parameters, seed):
@@ -182,15 +203,18 @@ def _ex2(parameters, seed):
     z = stage_rng(0 if seed is None else seed, max_edge).uniform(
         -noise, noise, size=max_edge)
     z.flags.writeable = False
-    return dict(sine_coeffs=lambda l: _ex1_sine(l)[:2] + (z[l - 1],),
-                bounded_l2=PI**2 / _SQ2 + noise, max_edge=max_edge,
-                frequencies=(PI,))
+
+    def sine(l, third=None):
+        return _ex1_sine(l)[:2] + (z[l - 1],)
+
+    return dict(sine_coeffs=sine, bounded_l2=PI**2 / _SQ2 + noise,
+                max_edge=max_edge, frequencies=(PI,))
 
 
 def _constant(parameters, seed):
     c = float(parameters.get("c", 0.0))
-    return dict(sine_coeffs=lambda l: (0.0, 0.0, c), bounded_l2=abs(c),
-                frequencies=(0.0,))
+    return dict(sine_coeffs=lambda l, third=None: (0.0, 0.0, c),
+                bounded_l2=abs(c), frequencies=(0.0,))
 
 
 def _manufactured(parameters, seed):
@@ -266,23 +290,27 @@ class Family(NamedTuple):
 
 
 FAMILIES = {
-    "ex1": Family(frozenset(), _fixed(_ex1_sine, PI**2 / _SQ2, (PI,)),
+    "ex1": Family(frozenset(), _fixed(_ex1_sine, PI**2 / _SQ2,
+                                      frequencies=(PI,)),
                   lambda p: _NULL_LIMIT, (_zero, _zero)),
     "ex2": Family(frozenset({"noise", "n_edges"}), _ex2,
                   lambda p: _NULL_LIMIT, (_zero, _zero)),
     "ex3": Family(frozenset(), _fixed(
-                      lambda l: _radial_groups(l) + (_angular_ex3(l),),
-                      4 * PI**2 / _SQ2 + 20 * PI, _RADIAL_FREQUENCIES),
+                      lambda l, third=None: _radial_groups(l, third)
+                      + (_angular_ex3(l),),
+                      4 * PI**2 / _SQ2 + 20 * PI,
+                      frequencies=_RADIAL_FREQUENCIES),
                   lambda p: _RADIAL_LIMIT,
                   (lambda t: np.sin(TWO_PI * t),
                    lambda t: 0.5 * np.sin(PI * t))),
     "ex4": Family(frozenset(), _fixed(
-                      lambda l: _radial_groups(l)
+                      lambda l, third=None: _radial_groups(l, third)
                       + ((1 - 2 * (l & 1)) * np.sqrt(l.astype(float)),),
-                      None, _RADIAL_FREQUENCIES),
+                      None, frequencies=_RADIAL_FREQUENCIES),
                   lambda p: _RADIAL_LIMIT),
     # b is an integer multiple of pi, so every edge norm is exactly A/sqrt(2)
-    "ex5": Family(frozenset(), _fixed(_ex5_sine, 4 * PI**2 / _SQ2),
+    "ex5": Family(frozenset(), _fixed(_ex5_sine, 4 * PI**2 / _SQ2,
+                                      pi_sine_coeffs=_ex5_pi_sine),
                   lambda p: None),
     "constant": Family(frozenset({"c"}), _constant, _constant_limit),
     "manufactured": Family(frozenset({"coeffs"}), _manufactured,

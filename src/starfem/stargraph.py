@@ -95,16 +95,28 @@ def _last_group(values) -> np.ndarray:
     return np.array([last[v] for v in values])
 
 
+def every_third(ells) -> np.ndarray:
+    """Mask of the edges l = 3, 6, 9, ... among ``ells``.
+
+    The deterministic coefficient rule and the forcing classes of ex3, ex4
+    and ex5 all split the edges by it, so a sweep evaluates it once per
+    block and hands it to both.
+    """
+    return ells % 3 == 0
+
+
 def edge_groups(source: str, *, seed: int = 0, probs=GROUP_PROBS,
                 values=GROUP_VALUES):
     """The 0-based group of each edge under ``source``, block by block.
 
-    Returns ``groups(ells)``, to be called on consecutive blocks of edge
-    indices from edge 1 on (1..a, then a+1..b, ...); a value's group is the
-    last group carrying it. The deterministic rule gives edge l = 3, 6, 9,
-    ... the first value and every other edge the second, and keeps no
-    state. Random draws continue one ``coefficient_rng(seed)`` stream, so
-    any split into blocks draws exactly what ``coefficient_random`` does.
+    Returns ``groups(ells, third=None)``, to be called on consecutive
+    blocks of edge indices from edge 1 on (1..a, then a+1..b, ...); a
+    value's group is the last group carrying it. The deterministic rule
+    gives edge l = 3, 6, 9, ... the first value and every other edge the
+    second, and keeps no state; it reads ``third``, the block's
+    ``every_third`` mask, when the caller has it. Random draws ignore
+    ``third`` and continue one ``coefficient_rng(seed)`` stream, so any
+    split into blocks draws exactly what ``coefficient_random`` does.
     """
     values = tuple(float(v) for v in values)
     group = _last_group(values) - 1
@@ -113,14 +125,19 @@ def edge_groups(source: str, *, seed: int = 0, probs=GROUP_PROBS,
             raise InvalidArgumentError(
                 "the deterministic rule needs two group values")
         first, other = group[0], group[1]
-        return lambda ells: np.where(ells % 3 == 0, first, other)
+
+        def by_third(ells, third=None):
+            return np.where(every_third(ells) if third is None else third,
+                            first, other)
+
+        return by_third
     if source != "random":
         raise InvalidArgumentError(f"unknown coefficient source {source!r}")
     bounds = np.cumsum(_checked_probs(probs, values))
     rng = coefficient_rng(seed)
     drawn = 0
 
-    def groups(ells):
+    def groups(ells, third=None):
         nonlocal drawn
         if len(ells) and ells[0] != drawn + 1:
             raise InvalidArgumentError(

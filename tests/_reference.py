@@ -116,3 +116,31 @@ def l2_of(f):
     val, _ = quad(lambda t: f(t) ** 2, 0.0, 1.0, limit=200,
                   epsabs=1e-13, epsrel=1e-13)
     return np.sqrt(val)
+
+
+def gauss_hat_loads(A, q, m, orientation="center", dps=40):
+    """3-point Gauss hat loads (m + 1,) of A sin(pi q s), q an integer.
+
+    Evaluated in extended precision (mpmath at ``dps`` digits) with b = pi q
+    exact, for the rule as float64 holds it: points 1/2 -+ sqrt(0.6)/2 and
+    1/2, weights 5/18, 8/18, 5/18, each rounded to float64 and then taken
+    exactly. s = t, or 1 - t under the "rim" orientation. Rounded to
+    float64 only at the end.
+    """
+    import mpmath
+
+    points = (0.5 - 0.5 * np.sqrt(0.6), 0.5, 0.5 + 0.5 * np.sqrt(0.6))
+    weights = (5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0)
+    with mpmath.workdps(dps):
+        x = [mpmath.mpf(float(v)) for v in points]
+        w = [mpmath.mpf(float(v)) for v in weights]
+        b = mpmath.pi * int(q)
+        loads = [mpmath.mpf(0)] * (m + 1)
+        for i in range(m):
+            for xj, wj in zip(x, w):
+                t = (i + xj) / m
+                s = 1 - t if orientation == "rim" else t
+                f = mpmath.mpf(float(A)) * mpmath.sin(b * s) * wj / m
+                loads[i] += (1 - xj) * f
+                loads[i + 1] += xj * f
+        return np.array([float(v) for v in loads])

@@ -34,7 +34,7 @@ from starfem import (
     weyl_cos_mean,
     weyl_fraction,
 )
-from starfem import analysis, femsolve
+from starfem import analysis, femsolve, forcing, stargraph
 from starfem._rng import coefficient_rng
 from starfem.analysis import group_average_sweep
 from starfem.expcli import main
@@ -251,13 +251,14 @@ class TestGroupAverageSweep:
         # one block spans several stages and the stages span three chunks
         # (ex2 restarts per stage and walks each one in blocks)
         monkeypatch.setattr(analysis, "SWEEP_BLOCK_VALUES", 180)
+        monkeypatch.setattr(analysis, "SWEEP_CHUNK_VALUES", 180)
         stages = (3, 4, 5, 6, 7, 9, 12, 13, 14, 20, 21, 22, 40, 41)
         load_terms = analysis.group_load_terms
         segments = []
 
-        def spy(field, ells, key, groups, m):
+        def spy(field, ells, key, groups, m, **kwargs):
             segments.append(np.unique(np.asarray(key) // 2).size)
-            return load_terms(field, ells, key, groups, m)
+            return load_terms(field, ells, key, groups, m, **kwargs)
 
         monkeypatch.setattr(analysis, "group_load_terms", spy)
         m = 12
@@ -378,12 +379,13 @@ class TestStarFreeSweep:
 
     def _split_sweep(self, monkeypatch, family, coeff, m, **kwargs):
         monkeypatch.setattr(analysis, "SWEEP_BLOCK_VALUES", 448)
+        monkeypatch.setattr(analysis, "SWEEP_CHUNK_VALUES", 448)
         blocks = []
         load_terms = analysis.group_load_terms
 
-        def spy(field, ells, key, groups, m):
+        def spy(field, ells, key, groups, m, **kwargs):
             blocks.append((int(ells[0]), int(ells[-1]), groups))
-            return load_terms(field, ells, key, groups, m)
+            return load_terms(field, ells, key, groups, m, **kwargs)
 
         monkeypatch.setattr(analysis, "group_load_terms", spy)
         chunks = list(group_average_sweep(family, self.STAGES, m, coeff=coeff,
@@ -449,6 +451,27 @@ class TestStarFreeSweep:
         assert large <= 4 * 2**20
 
     @pytest.mark.parametrize("coeff", ["deterministic", "random"])
+    def test_folded_sweep_memory_does_not_grow_with_n(self, coeff):
+        # ex5 windows of 11 stages at m = 100: Gauss-point rows per edge
+        # held ~15 MB of blocks (2^20 values, and their temporaries)
+        def peak(n):
+            stages = list(range(n - 5, n + 6))
+            tracemalloc.start()
+            try:
+                for _ in group_average_sweep("ex5", stages, 100,
+                                             coeff=coeff):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # first use of the FFT and of the coefficient stream, untraced
+        list(group_average_sweep("ex5", [4, 5], 8, coeff=coeff))
+        small, large = peak(10**5), peak(10**6)
+        assert abs(large - small) <= 2**18
+        assert large <= 3 * 2**20
+
+    @pytest.mark.parametrize("coeff", ["deterministic", "random"])
     def test_group_sums_of_a_long_stage_match_fsum(self, monkeypatch, coeff):
         n = 10**6
         yielded = []
@@ -472,6 +495,91 @@ class TestStarFreeSweep:
                 assert abs(terms[i, j] - ref) <= 1e-14 * abs(ref)
             ref = math.fsum(c[group == i])
             assert abs(terms[i, 2] - ref) <= 1e-12 * abs(ref)
+
+
+    @pytest.mark.parametrize("coeff", ["deterministic", "random"])
+    @pytest.mark.parametrize("family", ["ex3", "ex4", "ex5"])
+    def test_every_third_mask_is_evaluated_once_per_block(self, monkeypatch,
+                                                          family, coeff):
+        # the deterministic groups and the radial forcing classes share it
+        calls, blocks = [], []
+
+        def counted(ells):
+            calls.append(len(ells))
+            return ells % 3 == 0
+
+        for module in (analysis, forcing, stargraph):
+            monkeypatch.setattr(module, "every_third", counted)
+        load_terms = analysis.group_load_terms
+
+        def spy(field, ells, *args, **kwargs):
+            blocks.append(len(ells))
+            return load_terms(field, ells, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "group_load_terms", spy)
+        list(group_average_sweep(family, [10, 5000, 40000], 8, coeff=coeff))
+        assert len(blocks) > 1
+        assert calls == blocks
+
+    @pytest.mark.parametrize("coeff", ["deterministic", "random"])
+    def test_folded_weights_of_a_long_stage_match_fsum(self, monkeypatch,
+                                                        coeff):
+        # ex5: the sums of A G per (group, q mod 2m) and of the two half
+        # hats per group, as the sweep's blocks take them, against
+        # math.fsum over the same per-edge terms; then the stage's node
+        # sums against the fold of those fsum weights
+        n, m = 10**6, 8
+        period = 2 * m
+        blocks, yielded = [], []
+        weights, group_terms = femsolve.folded_weights, analysis._group_terms
+
+        def spy_weights(*args, **kwargs):
+            blocks.append(weights(*args, **kwargs))
+            return blocks[-1]
+
+        def spy_terms(*args):
+            for ends, counts, terms in group_terms(*args):
+                yielded.append(terms.copy())
+                yield ends, counts, terms
+
+        monkeypatch.setattr(femsolve, "folded_weights", spy_weights)
+        monkeypatch.setattr(analysis, "_group_terms", spy_terms)
+        list(group_average_sweep("ex5", [n], m, coeff=coeff, seed=2))
+        assert len(blocks) > 50
+        # the blocks' sums added with no rounding of their own
+        got_w, got_center, got_rim, _ = (
+            np.apply_along_axis(math.fsum, 0, np.array(part))
+            for part in zip(*blocks))
+        ells = np.arange(1, n + 1)
+        A, q, _ = builtin_field("ex5").pi_sine_coeffs(ells)
+        G, H = femsolve._fold_scalars(q, m)
+        group = build_stage(n, coeff, seed=2).group_of - 1
+        key = group * period + q % period
+        order = np.argsort(key, kind="stable")
+        cuts = np.flatnonzero(np.diff(key[order])) + 1
+        ref_w = np.zeros((2, period))
+        for k, part in zip(key[order][np.r_[0, cuts]],
+                           np.split((A * G)[order], cuts)):
+            ref_w.flat[k] = math.fsum(part)
+            assert abs(got_w.flat[k] - ref_w.flat[k]) \
+                <= 1e-15 * math.fsum(np.abs(part))
+        half = A * H
+        sign = 2 * (q & 1) - 1
+        ref_ends = np.zeros((2, 2))
+        for i in (0, 1):
+            mine = group == i
+            for j, (got, terms) in enumerate(((got_center, half[mine]),
+                                              (got_rim, (sign * half)[mine]))):
+                ref_ends[i, j] = math.fsum(terms)
+                assert abs(got[i] - ref_ends[i, j]) \
+                    <= 1e-15 * math.fsum(np.abs(terms))
+        k = np.arange(m + 1)
+        table = np.sin(np.pi * ((np.arange(period)[:, None] * k) % period) / m)
+        ref = np.array([[math.fsum(ref_w[i] * table[:, j]) for j in k]
+                        for i in (0, 1)])
+        ref[:, 0], ref[:, m] = ref_ends[:, 0], ref_ends[:, 1]
+        (sums,), = yielded  # (1, groups, m+1): one stage
+        assert np.max(np.abs(sums - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestEdgeGroups:

@@ -117,9 +117,10 @@ class TestRun:
         lines = text.splitlines()
         assert lines[0].startswith("# ")
         assert "prng=numpy-pcg64" in lines[0]
-        assert lines[1] == "n,group,l2_error,h1_error,center_value,reference,m,seed"
-        assert len(lines) == 2 + 4  # two stages, two groups
-        first = lines[2].split(",")
+        assert lines[1] == f"# max_bh={FLOAT_FMT.format(np.pi / 8)}"
+        assert lines[2] == "n,group,l2_error,h1_error,center_value,reference,m,seed"
+        assert len(lines) == 3 + 4  # two stages, two groups
+        first = lines[3].split(",")
         assert first[0] == "4"
         float(first[2])  # parses
         assert "e" in first[2]  # scientific float format
@@ -186,8 +187,30 @@ class TestRun:
         run(parse_config(
             f"example=ex1\nemit=cauchy\ncenters=10\nwindow=4\nmesh=8\nout={out}"))
         lines = _read(out).splitlines()
-        assert lines[1] == "n,group,epsilon,delta,window"
-        assert len(lines) == 2 + 2
+        assert lines[1].startswith("# max_bh=")
+        assert lines[2] == "n,group,epsilon,delta,window"
+        assert len(lines) == 3 + 2
+
+    @pytest.mark.parametrize("example,emit,sizes,mesh,bh", [
+        # the window around 10 walks to edge 12, where ex5 has b = 2 pi 12
+        ("ex5", "cauchy", "centers=10\nwindow=4", 8, 2 * np.pi * 12 / 8),
+        ("ex5", "cauchy", "centers=10\nwindow=4", 400, 2 * np.pi * 12 / 400),
+        ("ex3", "table", "stages=4,8", 8, 2 * np.pi / 8),
+    ])
+    def test_sine_sweeps_report_their_largest_bh(self, tmp_path, example,
+                                                 emit, sizes, mesh, bh):
+        out = tmp_path / "t.csv"
+        run(parse_config(f"example={example}\nemit={emit}\n{sizes}\n"
+                         f"mesh={mesh}\nout={out}"))
+        comment = _read(out).splitlines()[1]
+        assert comment.startswith(f"# max_bh={FLOAT_FMT.format(bh)}")
+        assert ("alias" in comment) == (bh > np.pi)
+
+    def test_fields_without_a_sine_declaration_report_no_bh(self, tmp_path):
+        out = tmp_path / "t.csv"
+        run(parse_config(f"example=manufactured\nstages=4,8\nmesh=8\n"
+                         f"reference=upscaled\nout={out}"))
+        assert not any("max_bh" in ln for ln in _read(out).splitlines())
 
     def test_rate_csv(self, tmp_path):
         out = str(tmp_path / "r.csv")

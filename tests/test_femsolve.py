@@ -11,6 +11,7 @@ from _reference import (
     continuum_center,
     dense_solve,
     dense_system,
+    gauss_hat_loads,
     hat_loads,
     quad_moment,
     sin_edge_solution,
@@ -160,11 +161,15 @@ class TestFactorizedLoads:
     def test_many_groups_form_no_dense_pair_table(self):
         # 500 edges with their own frequencies in 2000 groups: the full
         # (group, row) table would hold 10^6 values, the pairs that occur
-        # only 500 rows of m+1
+        # only 500 rows of m+1. The judge evaluates the Gauss rule in
+        # extended precision: the per-edge Gauss rows carry a phase error
+        # of ~ b eps, 1e-12 of the loads at l = 500
         field = builtin_field("ex5")
         ells = np.arange(1, 501)
         key = 4 * np.arange(500)
-        ref = assemble_loads(field, build_stage(500), 10)
+        third = ells % 3 == 0
+        ref = np.array([gauss_hat_loads(A, q, 10) for A, q in zip(
+            np.where(third, 4 * PI**2, PI**2), np.where(third, 2, 1) * ells)])
         tracemalloc.start()
         try:
             sums = group_load_terms(field, ells, key, 2000, 10)
@@ -174,6 +179,33 @@ class TestFactorizedLoads:
         assert peak < 2**20
         assert np.array_equal(np.flatnonzero(sums.any(axis=1)), key)
         assert np.max(np.abs(sums[key] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("orientation", ["center", "rim"])
+    @pytest.mark.parametrize("m", [2, 13, 100])
+    def test_folded_loads_match_extended_precision(self, m, orientation):
+        # ex5 edge l carries A sin(pi q s), q = 2l on every third edge; the
+        # judge is the same Gauss rule evaluated with b = pi q exact
+        field = builtin_field("ex5", {"orientation": orientation})
+        for ell in (1, 7, 999, 1200, 10**6 + 1, 10**7 + 2):
+            A, q = (4 * PI**2, 2 * ell) if ell % 3 == 0 else (PI**2, ell)
+            ref = gauss_hat_loads(A, q, m, orientation)
+            one = np.array([ell])
+            folded = group_load_terms(field, one, [0], 1, m)[0]
+            err = np.max(np.abs(folded - ref))
+            if ell <= 1200:
+                assert err <= 1e-14 * np.max(np.abs(ref))
+            else:
+                # no farther than the per-edge Gauss rows of the full solve
+                rows, which, a, _, _ = femsolve._load_terms(field, one, m)
+                assert err <= np.max(np.abs(a[0] * rows[which[0]] - ref))
+
+    def test_folded_phase_range_is_checked(self):
+        # q d is reduced exactly only while q D fits an int64
+        field = builtin_field("ex5")
+        assert group_load_terms(field, np.array([2**35 - 1]), [0], 1, 4) \
+            .shape == (1, 5)
+        with pytest.raises(InvalidArgumentError, match="2\\^36"):
+            group_load_terms(field, np.array([2**36]), [0], 1, 4)
 
     def test_edge_range_checked_like_the_per_edge_path(self):
         with pytest.raises(InvalidArgumentError):

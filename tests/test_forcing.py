@@ -171,6 +171,24 @@ def test_declared_frequencies_are_the_edges_frequencies(example):
     assert set(np.unique(b).tolist()) <= set(f.frequencies)
 
 
+def test_pi_multiples_are_the_edges_frequencies():
+    # ex5 declares b / pi as integers; the fold reads them, so they must be
+    # its frequencies bitwise, and its A
+    field = builtin_field("ex5")
+    ells = np.concatenate([np.arange(1, 3001), 10**7 + np.arange(3)])
+    A, b, c = field.sine_coeffs(ells)
+    A_pi, q, c_pi = field.pi_sine_coeffs(ells)
+    assert q.dtype.kind == "i"
+    assert np.array_equal(q, np.where(ells % 3 == 0, 2 * ells, ells))
+    assert np.array_equal(PI * q, b)
+    assert np.array_equal(A_pi, A) and c_pi == c == 0.0
+    # the mask a sweep hands on gives the same numbers
+    third = ells % 3 == 0
+    assert all(np.array_equal(x, y) for x, y in
+               zip(field.pi_sine_coeffs(ells, third), (A, q, c)))
+    assert builtin_field("ex3").pi_sine_coeffs is None
+
+
 def test_angular_parts_match_their_formulas_bitwise():
     # the signs come from parities, not float powers
     ells = np.arange(1, 5001)
