@@ -28,7 +28,7 @@ from .upscale import (HomogenizedSolution, UpscaledProblem,
 from .analysis import (CauchyRow, ConvergenceRow, cauchy_diagnostics,
                        cesaro_solution_average, continuum_error_norms,
                        convergence_table, grid_norms, rate_estimate,
-                       rate_from_errors, reading_report, reference_grids,
+                       rate_from_errors, reference_grids,
                        sample_grid, solve_example_stage, weyl_cos_mean,
                        weyl_fraction)
 from .expcli import ExperimentConfig, load_config, parse_config, run
@@ -56,6 +56,5 @@ __all__ = [
     "continuum_error_norms", "convergence_table", "cauchy_diagnostics",
     "rate_estimate", "rate_from_errors", "weyl_fraction", "weyl_cos_mean",
     "sample_grid", "solve_example_stage", "reference_grids",
-    "reading_report",
     "ExperimentConfig", "parse_config", "load_config", "run",
 ]

@@ -7,11 +7,12 @@ the group-reduced system of a stage gives exactly (``assemble_reduced``).
 ``group_average_sweep`` feeds every requested stage from one walk over the
 edges, in blocks that draw their own coefficient groups, so it holds no
 array of n values other than ex2's noise, which that field draws for
-every edge of a stage; it solves the reduced systems as stacks and yields the
-arrays it holds per chunk of stages: sizes, group counts, centers, group
-averages and load sums, with no per-stage object. Tables and Cauchy
-windows read those arrays and take the norms of every (stage, group) in
-one call.
+every edge of a stage. A sine family's loads fold over q mod 2m, a few
+scalars per edge, and only a profile field's come from Gauss points. It
+solves the reduced systems as stacks and yields the arrays it holds per
+chunk of stages: sizes, group counts, centers, group averages and load
+sums, with no per-stage object. Tables and Cauchy windows read those
+arrays and take the norms of every (stage, group) in one call.
 References (``reference_grids``) follow the configured law and come from
 the family's record through ``upscale``. The full n-edge solve
 (``solve_example_stage``) serves the single-stage emits and is the
@@ -26,7 +27,7 @@ import numpy as np
 from .errors import (EmptyGroupError, InvalidArgumentError,
                      NumericalBreakdownError, UndefinedRateError)
 from .femsolve import (StageSolution, assemble_reduced, group_load_terms,
-                       load_basis, solve, solve_stage)
+                       solve, solve_stage)
 from .forcing import GridFunction, builtin_field
 from .stargraph import (GROUP_PROBS, GROUP_VALUES, TWO_PI, build_stage,
                         edge_groups, every_third)
@@ -169,29 +170,28 @@ def largest_bh(example: str, n: int, m: int, *, seed: int = 0,
                parameters: dict | None = None):
     """The largest b h over edges 1..n at h = 1/m, or None.
 
-    b is the frequency of a sine family (None for any other field). Every
-    built-in b depends on l only through its every-third-edge class and
-    grows with l within a class, so edges n-2..n hold the largest. Past
-    b h = pi the 3-point Gauss loads alias.
+    b = pi q is the frequency of a sine family (None for any other field).
+    Every built-in q depends on l only through its every-third-edge class
+    and grows with l within a class, so edges n-2..n hold the largest.
+    Past b h = pi the 3-point Gauss loads alias.
     """
     field = builtin_field(example, _stage_parameters(example, n, parameters),
                           seed=seed)
-    if field.sine_coeffs is None:
+    if field.pi_sine_coeffs is None:
         return None
     ells = np.arange(max(1, n - 2), n + 1)
-    b = np.broadcast_to(field.sine_coeffs(ells)[1], ells.shape)
+    b = np.pi * np.broadcast_to(field.pi_sine_coeffs(ells)[1], ells.shape)
     return float(np.max(np.abs(b))) / m
 
 
 #: float64 values a sweep holds per block of edges: its per-edge scalars,
-#: the Gauss-point rows of a field without a load basis or a fold, and the
-#: folded weights W of the block's segments (g (2m + 3) per segment, which
-#: the chunk's 2^14 / (m + 1) segments keep below 2^16)
+#: the Gauss-point rows of a profile field, and a sine family's folded
+#: weights W and load sums of the block's segments (g (3m + 4) per
+#: segment, which the chunk's 2^14 / (m + 1) segments keep below 2^16)
 SWEEP_BLOCK_VALUES = 1 << 20
 
-#: float64 scalars a block holds per edge (index, group, key, A, b or q, c,
-#: the fold's G and H and their temporaries), which caps a block at 2^14
-#: edges
+#: float64 scalars a block holds per edge (index, group, key, A, q, c, the
+#: fold's G and H and their temporaries), which caps a block at 2^14 edges
 _EDGE_SCALARS = 64
 
 #: float64 values of each (S, g, m+1) array of a chunk of S stages (load
@@ -220,20 +220,19 @@ def group_average_sweep(example: str, stages: Sequence[int], m: int, *,
     random coefficients). Edge l is keyed by segment g + group, where its
     segment (``searchsorted(stages, l)``) is the first stage of the chunk
     that contains it, counted from the block's first segment, and one
-    ``group_load_terms`` call per block sums its loads per key: for a field
-    with a ``load_basis`` (at most two frequencies) as k+1 scalars per key
-    from a keyed ``bincount``; for ex5, whose frequencies are multiples of
-    pi, as load sums folded over q mod 2m (``folded_weights``). Either way
-    a block is capped only by its per-edge scalars, SWEEP_BLOCK_VALUES //
-    _EDGE_SCALARS edges. Other fields sum load vectors from at most
-    SWEEP_BLOCK_VALUES Gauss-point values a block. Blocks add into the
-    chunk's per-segment sums (the keyed ``bincount`` already sums in short
-    runs, which keeps a 10^7-edge table within 1e-9 of ``math.fsum``). One
-    cumsum over the segments then gives every stage's group sums, on top
-    of those carried from the chunk before. The chunk's stages that share
-    their set of non-empty groups are assembled into one stack of g-edge
-    reduced systems and solved by one ``solve`` call, whose backward-error
-    gate certifies each stage of the stack; a breakdown names the stage.
+    ``group_load_terms`` call per block sums its loads per key. A sine
+    family's loads are folded over q mod 2m (``folded_weights``): a few
+    scalars per edge and one real FFT per key, so its block is capped only
+    by its per-edge scalars, SWEEP_BLOCK_VALUES // _EDGE_SCALARS edges. A
+    profile field sums load vectors from at most SWEEP_BLOCK_VALUES
+    Gauss-point values a block. Blocks add into the chunk's per-segment
+    sums (the keyed ``bincount`` already sums in short runs, which keeps
+    a 10^7-edge table within 1e-9 of ``math.fsum``). One cumsum over the
+    segments then gives every stage's group sums, on top of those carried
+    from the chunk before. The chunk's stages that share their set of
+    non-empty groups are assembled into one stack of g-edge reduced
+    systems and solved by one ``solve`` call, whose backward-error gate
+    certifies each stage of the stack; a breakdown names the stage.
     ``ex2`` redraws its noise for each stage size, so its walk
     (coefficients included) restarts from edge 1 per stage. ``h`` is a
     number or a function of n.
@@ -257,18 +256,15 @@ def group_average_sweep(example: str, stages: Sequence[int], m: int, *,
         field = builtin_field(
             example, _stage_parameters(example, walk[0], parameters),
             seed=seed)
-        basis = load_basis(field, m)
         block = SWEEP_BLOCK_VALUES // _EDGE_SCALARS
-        if basis is None and field.pi_sine_coeffs is None:
+        if field.pi_sine_coeffs is None:
             block = min(block, SWEEP_BLOCK_VALUES // (3 * m))
-        terms = _group_terms(field, groups_of, coeff == "deterministic",
-                             walk, g, m, max(1, block), chunk)
-        for ends, counts, sums in terms:
+        for ends, counts, sums in _group_terms(
+                field, groups_of, coeff == "deterministic", walk, g, m,
+                max(1, block), chunk):
             if np.any((counts[-1] > 0) & ~(group_values > 0)):
                 raise InvalidArgumentError(
                     "diffusion coefficients must be positive")
-            if basis is not None:
-                sums = sums @ basis
             centers, averages = _stacked_solve(
                 ends, counts, group_values, sums,
                 [h_of(n) for n in ends], m)
@@ -277,14 +273,14 @@ def group_average_sweep(example: str, stages: Sequence[int], m: int, *,
 
 def _group_terms(field, groups_of, by_third: bool, walk, g: int, m: int,
                  block: int, chunk: int):
-    """Per chunk of the stages ``walk``: (stages, counts, terms).
+    """Per chunk of the stages ``walk``: (stages, counts, sums).
 
-    ``terms`` (S, g, r) are the group load sums of each stage over the
-    field's ``load_basis`` (``group_load_terms``), ``counts`` (S, g) the
-    group sizes; edges are walked in blocks of ``block``, grouped by
-    ``groups_of``, and added into each chunk's per-segment sums. With
-    ``by_third`` the groups follow the every-third-edge rule, whose mask
-    each block evaluates once for its groups and its loads.
+    ``sums`` (S, g, m+1) are the group load sums of each stage
+    (``group_load_terms``), ``counts`` (S, g) the group sizes; edges are
+    walked in blocks of ``block``, grouped by ``groups_of``, and added
+    into each chunk's per-segment sums. With ``by_third`` the groups
+    follow the every-third-edge rule, whose mask each block evaluates
+    once for its groups and its loads.
     """
     total = counts = None
     done = 0
@@ -293,7 +289,7 @@ def _group_terms(field, groups_of, by_third: bool, walk, g: int, m: int,
         ends = np.array(part)
         nkeys = len(part) * g
         seg_counts = np.zeros(nkeys, dtype=np.int64)
-        seg = None
+        seg = np.zeros((nkeys, m + 1))
         for start in range(done, part[-1], block):
             ells = np.arange(start + 1, min(start + block, part[-1]) + 1)
             # keys relative to the block's own segments [first, last]
@@ -303,15 +299,12 @@ def _group_terms(field, groups_of, by_third: bool, walk, g: int, m: int,
             if last > first:
                 key += (np.searchsorted(ends, ells) - first) * g
             width = (last - first + 1) * g
-            block_terms = group_load_terms(field, ells, key, width, m,
-                                           third=third)
-            if seg is None:
-                seg = np.zeros((nkeys, block_terms.shape[1]))
             at = first * g
-            seg[at:at + width] += block_terms
+            seg[at:at + width] += group_load_terms(field, ells, key, width,
+                                                   m, third=third)
             seg_counts[at:at + width] += np.bincount(key, minlength=width)
         done = part[-1]
-        seg = seg.reshape(len(part), g, -1)
+        seg = seg.reshape(len(part), g, m + 1)
         total = np.cumsum(seg, axis=0) + (0.0 if total is None else total[-1])
         counts = np.cumsum(seg_counts.reshape(-1, g), axis=0) + (
             0 if counts is None else counts[-1])
@@ -530,21 +523,3 @@ def weyl_cos_mean(n: int) -> float:
     if n < 1:
         raise InvalidArgumentError("n must be >= 1")
     return float(abs(np.mean(np.cos(np.arange(1, n + 1, dtype=float)))))
-
-
-def reading_report(stages: Sequence[int], m: int, *, example: str = "ex3",
-                   coeff: str = "deterministic", seed: int = 0,
-                   full_h1: bool = True) -> dict:
-    """Tables of an example against its printed curves under both readings.
-
-    The "center" reading takes the printed reference curves at face value
-    (t = 0 at the center). The "rim" reading measures t from the rim on
-    both sides (``orientation`` "rim"): the forcing profiles are evaluated
-    at 1 - t and the printed curves composed with 1 - t. The winner can
-    then be judged against whatever published table the caller holds; full
-    H1 norms are the default because published tables typically use them.
-    """
-    return {reading: convergence_table(
-                example, stages, m, "printed", coeff=coeff, seed=seed,
-                parameters={"orientation": reading}, full_h1=full_h1)
-            for reading in ("center", "rim")}

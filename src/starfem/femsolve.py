@@ -16,20 +16,24 @@ gate fails.
 
 Edges of one coefficient group share K, so by linearity their average is
 the solution of a smaller arrowhead system with one edge per group,
-coefficient n_i K_i and the group's load sum (``assemble_reduced``). A
-sine family with at most two frequencies has a ``load_basis``: every edge
-load combines its k+1 rows, so a group's load sum needs only the k+1 sums
-of its edges' scalars, which ``group_load_terms`` takes with one keyed
-``bincount`` and no sort. A family whose frequencies are integer multiples
-pi q of pi (ex5) is folded: the rule is symmetric, so the 3-point Gauss
-load of A sin(pi q s) at interior node k is A G sin(pi q k / m), and that
-sine depends only on q mod 2m. A group's load sum is then the sum over r
-= q mod 2m of W_r sin(pi r k / m), with W_r the keyed ``bincount`` of A G,
-taken as one real FFT of length 2m, plus the two half hats at the ends:
-O(1) work per edge and O(m log m) per group, however large q. Other
-fields sum load vectors from their Gauss points. The reduced system goes
-through the same ``solve`` and gate; tables and Cauchy windows use it,
-the full system the other emits.
+coefficient n_i K_i and the group's load sum (``assemble_reduced``).
+Every sine family A sin(pi q s) + c, q an integer, takes its loads from
+one fold, in the sweep and in the full solve alike: the 3-point rule is
+symmetric, so its load at interior node k is A G(q) sin(pi q k / m), and
+that sine depends only on q mod 2m; the half hats at the ends are A H(q)
+and -(-1)^q A H(q) (``_fold_scalars``), and c adds c times the hat loads
+of 1. The full solve gathers one row of node sines per residue that
+occurs (``_fold_loads``). The sweep sums per group (``group_load_terms``,
+``folded_weights``): the weights W_r of the residues r, from keyed
+``bincount`` runs with no sort, become node sums through one real FFT of
+length 2m, so the work per edge is O(1) however large q or m. The one
+choice is the order of accumulation: a block whose every q lies below 2m
+(ex1-ex4, ``constant``) sums A and c per (group, q) and applies G(q) and
+H(q) once per q; any other (ex5) sums A G per edge. Gauss points serve
+only fields without a sine declaration (``manufactured``, the upscaled
+field, hand-built profiles), whose loads are evaluated edge by edge. The
+reduced system goes through the same ``solve`` and gate; tables and
+Cauchy windows use it, the full system the other emits.
 A system may carry leading axes that stack independent systems of one
 shape: ``solve``, ``apply`` and the gate work on the trailing axes, so
 many stages' reduced systems are assembled and solved in one pass, and
@@ -37,9 +41,12 @@ the gate passes the stack only if every system in it passes.
 """
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 import numpy as np
+# numpy loads its fft module on first use; every sine-family sweep uses it
+from numpy.fft import rfft
 
 from ._record import Record
 from .errors import InvalidArgumentError, NumericalBreakdownError
@@ -165,100 +172,22 @@ def _hat_loads(F: np.ndarray, m: int) -> np.ndarray:
     return loads
 
 
-def _gauss_points(field: ForcingField, m: int) -> np.ndarray:
-    """The 3m Gauss points of the loads, in the field's orientation."""
-    tq = ((np.arange(m)[:, None] + GAUSS3_X[None, :]) / m).ravel()
-    if field.parameters.get("orientation", "center") == "rim":
-        return 1.0 - tq
-    return tq
-
-
-def _sine_rows(field: ForcingField, freqs: np.ndarray, m: int) -> np.ndarray:
-    """Hat-load rows (len(freqs), m+1) of sin(b s), one per frequency b."""
-    rows = freqs[:, None] * _gauss_points(field, m)[None, :]
-    np.sin(rows, out=rows)
-    return _hat_loads(rows.reshape(-1, m, 3), m)
-
-
+@functools.lru_cache(maxsize=4)
 def _unit_row(m: int) -> np.ndarray:
-    """Hat loads of the constant 1."""
-    return _hat_loads(np.ones((1, m, 3)), m)[0]
+    """Hat loads of the constant 1, built once per m and read-only."""
+    row = _hat_loads(np.ones((1, m, 3)), m)[0]
+    row.flags.writeable = False
+    return row
 
 
-def _declared(declaration, field: ForcingField, ells: np.ndarray,
-              third=None, dtype=None) -> tuple:
-    """A declaration's per-edge scalars at edges ``ells``, one array each.
+def _profile_loads(field: ForcingField, ells: np.ndarray, m: int) -> np.ndarray:
+    """Hat loads (len(ells), m+1) of a field without a sine declaration.
 
-    ``third`` is the ``every_third`` mask of ``ells`` when the caller has
-    it; the declaration then does not evaluate it again.
+    Evaluated at the 3m Gauss points of every edge; the profile applies
+    the orientation itself.
     """
-    ells = field._edges(ells)
-    values = declaration(ells) if third is None else declaration(ells, third)
-    return tuple(np.broadcast_to(np.asarray(v, dtype=dtype), ells.shape)
-                 for v in values)
-
-
-def _sine_scalars(field: ForcingField, ells: np.ndarray, third=None) -> tuple:
-    """(A, b, c) of a sine family at edges ``ells``, each a float array."""
-    return _declared(field.sine_coeffs, field, ells, third, float)
-
-
-def _frequency_class(field: ForcingField, b: np.ndarray):
-    """Each edge's index into the declared ``frequencies``, with no sort."""
-    if len(field.frequencies) == 1:
-        return np.zeros(b.shape, dtype=np.intp)
-    return (b != field.frequencies[0]).astype(np.intp)
-
-
-def _load_terms(field: ForcingField, ells: np.ndarray, m: int):
-    """Loads of edges ``ells`` as (rows, which, A, c, unit).
-
-    Edge ells[j] carries A[j] rows[which[j]] + c[j] unit. A sine family
-    A sin(b t) + c is linear in its per-edge scalars, so ``rows`` holds one
-    hat-load row per distinct frequency b and ``unit`` the hat loads of 1;
-    any other field is evaluated edge by edge (one row each, A = 1, c = 0,
-    ``unit`` None).
-    """
-    if field.sine_coeffs is None:
-        # the profile applies the orientation itself
-        tq = ((np.arange(m)[:, None] + GAUSS3_X[None, :]) / m).ravel()
-        F = field.values(ells, tq).reshape(len(ells), m, 3)
-        return (_hat_loads(F, m), np.arange(len(ells)), np.ones(len(ells)),
-                None, None)
-    A, b, c = _sine_scalars(field, ells)
-    freqs, which = np.unique(b, return_inverse=True)
-    return _sine_rows(field, freqs, m), which.ravel(), A, c, _unit_row(m)
-
-
-def assemble_loads(field: ForcingField, stage: StarStage, m: int) -> np.ndarray:
-    """Nodal load vector per edge, 3-point Gauss per element, shape (n, m+1).
-
-    Includes the center (column 0) and rim (column m) rows even though the
-    rim is not an unknown; the identity checks integrate against them.
-    A sine family's loads are A H(b) + c H(1) from one hat-load row per
-    frequency b; any other field is evaluated edge by edge.
-    """
-    rows, which, A, c, unit = _load_terms(field, np.arange(1, stage.n + 1), m)
-    if unit is None:
-        return rows
-    loads = rows[which]
-    loads *= A[:, None]
-    loads += c[:, None] * unit
-    return loads
-
-
-def load_basis(field: ForcingField, m: int):
-    """The rows every edge load of the field combines, or None.
-
-    For a sine family that declares its ``frequencies`` b_0, ..., b_{k-1},
-    the (k+1, m+1) hat-load rows of sin(b_j s) and, last, of 1: edge l's
-    load is A_l times the row of its frequency class plus c_l times the
-    last. Other fields have no such basis (None).
-    """
-    if field.sine_coeffs is None or field.frequencies is None:
-        return None
-    freqs = np.asarray(field.frequencies, dtype=float)
-    return np.vstack([_sine_rows(field, freqs, m), _unit_row(m)])
+    tq = ((np.arange(m)[:, None] + GAUSS3_X[None, :]) / m).ravel()
+    return _hat_loads(field.values(ells, tq).reshape(len(ells), m, 3), m)
 
 
 #: d = x_3 - 1/2 = 1/2 - x_1 of the 3-point rule; both differences are
@@ -274,6 +203,23 @@ _D_INT = round(_GAUSS3_D * 2**_D_BITS)
 _D_LO = _GAUSS3_D - _D_INT * 2.0**-_D_BITS
 
 
+@functools.lru_cache(maxsize=4)
+def _half_sines(m: int) -> np.ndarray:
+    """sin(pi j / 2m) for j < 5m, built once per m and read-only.
+
+    The node sines sin(pi r k / m) at even j = 2 (r k mod 2m), and the
+    half angles of ``_fold_scalars``. Only the quarter wave j <= m is
+    evaluated, where the rounded argument is at most pi / 2; the rest
+    follows by symmetry, so every entry is correctly rounded to within an
+    ulp or so and the zeros at j = 2m and 4m are exact.
+    """
+    quarter = np.sin(np.arange(m + 1) * (np.pi / (2 * m)))
+    wave = np.concatenate([quarter, quarter[-2::-1]])  # j = 0..2m
+    sines = np.concatenate([wave, -wave[1:-1], wave[:m]])
+    sines.flags.writeable = False
+    return sines
+
+
 def _fold_scalars(q: np.ndarray, m: int) -> tuple:
     """(G, H) of the 3-point Gauss hat loads of sin(pi q s), per edge.
 
@@ -284,15 +230,18 @@ def _fold_scalars(q: np.ndarray, m: int) -> tuple:
     through cos and sin of theta / 2 and of theta d, each reduced mod 2 pi
     before it is rounded, so the phase error does not grow with q: theta
     / 2 is a multiple of pi / 2m, read from one table of node sines at
-    q mod 4m; q d is reduced mod 2m exactly through ``_D_INT``, and only
-    its cos and sin are evaluated per edge.
+    q mod 4m (``_half_sines``); q d is reduced into [-m, m) exactly
+    through ``_D_INT``, and only its cos and sin are evaluated per edge.
     """
     h = 1.0 / m
-    # sin(pi j / 2m) for j < 5m: sines at q mod 4m, cosines a quarter on
-    sines = np.sin(np.arange(5 * m) * (np.pi / (2 * m)))
+    # sines at q mod 4m, cosines a quarter on
+    sines = _half_sines(m)
     half = q % (4 * m)
     s1, c1 = sines[half], sines[half + m]
-    turns = (q * _D_INT) % ((2 * m) << _D_BITS) * 2.0**-_D_BITS + q * _D_LO
+    # q d mod 2m, taken in [-m, m) so the rounded phase is at most pi
+    period = (2 * m) << _D_BITS
+    turns = (q * _D_INT + (m << _D_BITS)) % period - (m << _D_BITS)
+    turns = turns * 2.0**-_D_BITS + q * _D_LO
     turns *= np.pi / m
     u, v = np.cos(turns), np.sin(turns)
     # u = h (w_1 cos(theta d) + w_2 / 2), v = 2 d h w_1 sin(theta d)
@@ -307,24 +256,121 @@ def _fold_scalars(q: np.ndarray, m: int) -> tuple:
     return G, H
 
 
-def folded_weights(field: ForcingField, ells: np.ndarray, group_index,
-                   groups: int, m: int, third=None) -> tuple:
-    """The folded load weights of edges ``ells`` per group.
+def _sine_triple(field: ForcingField, ells: np.ndarray, m: int,
+                 third=None) -> tuple:
+    """(A, q, c, top) of a sine family at edges ``ells``.
 
-    For a field that declares ``pi_sine_coeffs`` (A, q, c): per group the
-    sums of A G over its edges with q mod 2m = r, (groups, 2m), and the
-    sums of A H, of the rim half hats -(-1)^q A H and of c, (groups,) each
-    (``_fold_scalars``), all from keyed ``bincount`` runs with no sort.
+    One array per scalar; ``third`` is the ``every_third`` mask of
+    ``ells`` when the caller has it, and the declaration then does not
+    evaluate it again. ``top`` is the largest q plus one when every q lies
+    in 0..2m-1, so that q is its own residue mod 2m, else None. Refuses a
+    q past the exact phase reduction of ``_fold_scalars``.
     """
-    A, q, c = _declared(field.pi_sine_coeffs, field, ells, third)
-    if q.size and np.max(np.abs(q)) >= 2**_D_SPAN:
+    ells = field._edges(ells)
+    coeffs = field.pi_sine_coeffs
+    values = coeffs(ells) if third is None else coeffs(ells, third)
+    A, q, c = (np.broadcast_to(v, ells.shape) for v in values)
+    lo, hi = (int(q.min()), int(q.max())) if q.size else (0, 0)
+    if max(-lo, hi) >= 2**_D_SPAN:
         raise InvalidArgumentError(
             f"{field.family_id}: b / pi reaches 2^{_D_SPAN}, past the exact "
             f"phase reduction of the folded loads")
+    return A, q, c, hi + 1 if 0 <= lo and hi < 2 * m else None
+
+
+def _fold_loads(field: ForcingField, ells: np.ndarray, m: int) -> np.ndarray:
+    """Hat loads (len(ells), m+1) of a sine family, from the fold.
+
+    Edge l's load at node k is A G(q) sin(pi q k / m), with the half hats
+    A H(q) and -(-1)^q A H(q) at s = 0 and s = 1 (``_fold_scalars``), plus
+    c times the hat loads of 1. The node sines depend on q only through
+    its residue r = q mod 2m, so each residue that occurs gets one row,
+    read from ``_half_sines`` at 2 (r k mod 2m) with no rounded phase, and
+    edges gather their residue's row.
+    """
+    A, q, c, _ = _sine_triple(field, ells, m)
+    period = 2 * m
+    residue = q % period
+    present = np.zeros(period, dtype=bool)
+    present[residue] = True
+    k = np.arange(m + 1)
+    s0, s1 = 0, m  # the columns of s = 0 and s = 1
+    if field.parameters.get("orientation") == "rim":
+        k, s0, s1 = m - k, m, 0  # s = 1 - t: node k sits at s = (m - k) / m
+    rows = _half_sines(m)[2 * (np.flatnonzero(present)[:, None] * k % period)]
     G, H = _fold_scalars(q, m)
     G *= A
     H *= A
-    group_index = np.asarray(group_index)
+    loads = rows[(np.cumsum(present) - 1)[residue]]
+    loads *= G[:, None]
+    loads[:, s0] = H
+    loads[:, s1] = (2 * (q & 1) - 1) * H
+    # c times the hat loads of 1, which are equal at every interior node:
+    # added in place, with no (len(ells), m+1) temporary
+    unit = _unit_row(m)
+    loads[:, 0] += c * unit[0]
+    loads[:, m] += c * unit[m]
+    loads[:, 1:m] += (c * unit[1])[:, None]
+    return loads
+
+
+def assemble_loads(field: ForcingField, stage: StarStage, m: int) -> np.ndarray:
+    """Nodal load vector per edge, 3-point Gauss per element, shape (n, m+1).
+
+    Includes the center (column 0) and rim (column m) rows even though the
+    rim is not an unknown; the identity checks integrate against them.
+    A sine family's loads come from the fold (``_fold_loads``), any other
+    field's from its values at the Gauss points, edge by edge.
+    """
+    ells = np.arange(1, stage.n + 1)
+    if field.pi_sine_coeffs is None:
+        return _profile_loads(field, ells, m)
+    return _fold_loads(field, ells, m)
+
+
+def _sums_per_q(group_index, groups: int, q: np.ndarray, top: int,
+                *weights) -> list:
+    """Sums of each of ``weights`` per (group, q), (groups, top) each."""
+    key = group_index * top
+    key += q
+    return [v.reshape(groups, top) for v in
+            _keyed_sums(key, groups * top, *weights)]
+
+
+@functools.lru_cache(maxsize=4)
+def _small_q_scalars(m: int) -> tuple:
+    """G (2m,) and the half hats (2m, 2) of q = 0..2m-1, once per m.
+
+    The half hats of each q are its center H and its rim -(-1)^q H
+    (``_fold_scalars``); both tables are read-only.
+    """
+    q = np.arange(2 * m)
+    G, H = _fold_scalars(q, m)
+    ends = np.column_stack([H, (2 * (q & 1) - 1) * H])
+    G.flags.writeable = ends.flags.writeable = False
+    return G, ends
+
+
+def _weights_per_q(group_index, groups: int, A, q, c, m: int,
+                   top: int) -> tuple:
+    """``folded_weights`` with A and c summed per (group, q) first.
+
+    For q in 0..top-1 with top <= 2m: q is its own residue, so G(q) and
+    H(q) scale the sums once per q.
+    """
+    a_sums, c_sums = _sums_per_q(group_index, groups, q, top, A, c)
+    G, ends = _small_q_scalars(m)
+    weights = np.zeros((groups, 2 * m))
+    np.multiply(a_sums, G[:top], out=weights[:, :top])
+    center, rim = (a_sums @ ends[:top]).T
+    return weights, center, rim, c_sums.sum(axis=1)
+
+
+def _weights_per_edge(group_index, groups: int, A, q, c, m: int) -> tuple:
+    """``folded_weights`` with A G and A H summed per edge."""
+    G, H = _fold_scalars(q, m)
+    G *= A
+    H *= A
     period = 2 * m
     weights, = _keyed_sums(group_index * period + q % period,
                            groups * period, G)
@@ -333,14 +379,33 @@ def folded_weights(field: ForcingField, ells: np.ndarray, group_index,
     return (weights.reshape(groups, period), *ends)
 
 
+def folded_weights(field: ForcingField, ells: np.ndarray, group_index,
+                   groups: int, m: int, third=None) -> tuple:
+    """The folded load weights of a sine family's edges ``ells`` per group.
+
+    Per group the sums of A G over its edges with q mod 2m = r, (groups,
+    2m), and the sums of A H, of the rim half hats -(-1)^q A H and of c,
+    (groups,) each (``_fold_scalars``), all from keyed ``bincount`` runs
+    with no sort. The one choice is the order of accumulation: when every
+    q of the block lies below 2m (ex1-ex4, ``constant``), A and c are
+    summed per (group, q) and G(q) and H(q) applied once per q; otherwise
+    (ex5) A G and A H are summed edge by edge.
+    """
+    A, q, c, top = _sine_triple(field, ells, m, third)
+    group_index = np.asarray(group_index)
+    if top is not None:
+        return _weights_per_q(group_index, groups, A, q, c, m, top)
+    return _weights_per_edge(group_index, groups, A, q, c, m)
+
+
 def _folded_load_sums(field: ForcingField, ells: np.ndarray, group_index,
                       groups: int, m: int, third=None) -> np.ndarray:
-    """Group load sums (groups, m+1) of a folded field (``folded_weights``)."""
+    """Group load sums (groups, m+1) of a sine family (``folded_weights``)."""
     weights, center, rim, c_sums = folded_weights(field, ells, group_index,
                                                   groups, m, third)
     # sum_r W_r sin(pi r k / m) at the nodes k = 0..m is minus the imaginary
     # part of the length-2m real FFT, whose m+1 outputs are those nodes
-    sums = -np.fft.rfft(weights, axis=-1).imag
+    sums = -rfft(weights, axis=-1).imag
     sums[:, 0] = center
     sums[:, m] = rim
     if field.parameters.get("orientation", "center") == "rim":
@@ -365,51 +430,34 @@ def _keyed_sums(key: np.ndarray, size: int, *weights) -> list:
     span = max(_RUN, size)
     runs = -(-len(key) // span)
     if runs > 1:
-        key = key * runs + np.arange(len(key)) // span
+        run = np.arange(len(key))
+        run //= span
+        run += key * runs
+        key = run
     return [np.bincount(key, weights=w, minlength=size * runs).reshape(
                 size, runs).sum(axis=1) for w in weights]
 
 
 def group_load_terms(field: ForcingField, ells: np.ndarray, group_index,
                      groups: int, m: int, third=None) -> np.ndarray:
-    """Loads of edges ``ells`` summed per group, over ``load_basis``.
+    """Loads of edges ``ells`` summed per group, (groups, m+1).
 
     ``group_index[j]`` is the 0-based group of edge ells[j]; ``third`` is
-    the ``every_third`` mask of ``ells`` when the caller has it. With a
-    basis of k frequency rows and the unit row, the result is (groups,
-    k+1): per group the sum of A over its edges of each frequency class,
-    then the sum of c, from one keyed ``bincount`` each and no sort.
-    Without a basis it is the (groups, m+1) load sums themselves: folded
-    over q mod 2m for a field that declares ``pi_sine_coeffs``
-    (``folded_weights``), so no load vector is formed per edge and the
-    work per edge does not grow with m; otherwise the per-edge scalars
-    are summed per (group, hat-load row) pair that occurs, and the work
-    stays O(len(ells) m) however many groups there are. Either way the
-    group load sums are the result, times the basis when there is one.
+    the ``every_third`` mask of ``ells`` when the caller has it. A sine
+    family's are folded over q mod 2m (``folded_weights``), so no load
+    vector is formed per edge and the work per edge does not grow with m.
+    Any other field's loads are evaluated edge by edge at the Gauss points
+    and summed per group in edge order.
     """
     group_index = np.asarray(group_index)
-    if field.sine_coeffs is not None and field.frequencies is not None:
-        A, b, c = _sine_scalars(field, ells, third)
-        k = len(field.frequencies)
-        key = group_index * k + _frequency_class(field, b)
-        a_sums, c_sums = (v.reshape(groups, k)
-                          for v in _keyed_sums(key, groups * k, A, c))
-        return np.column_stack([a_sums, c_sums.sum(axis=1)])
     if field.pi_sine_coeffs is not None:
         return _folded_load_sums(field, ells, group_index, groups, m, third)
-    rows, which, A, c, unit = _load_terms(field, ells, m)
-    k = rows.shape[0]
-    pairs, slot = np.unique(group_index * k + which, return_inverse=True)
-    weights = np.bincount(slot.ravel(), weights=A, minlength=pairs.size)
-    # pairs are sorted, so the rows of one group are contiguous
-    group = pairs // k
+    loads = _profile_loads(field, ells, m)
+    order = np.argsort(group_index, kind="stable")
+    group = group_index[order]
     starts = np.flatnonzero(np.diff(group, prepend=-1))
     sums = np.zeros((groups, m + 1))
-    sums[group[starts]] = np.add.reduceat(rows[pairs % k] * weights[:, None],
-                                          starts, axis=0)
-    if unit is not None:
-        c_sums = np.bincount(group_index, weights=c, minlength=groups)
-        sums += c_sums[:, None] * unit
+    sums[group[starts]] = np.add.reduceat(loads[order], starts, axis=0)
     return sums
 
 

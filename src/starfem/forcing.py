@@ -5,13 +5,12 @@ is one record in ``FAMILIES``: its per-edge declaration, the limit forcing
 and zero-ended particular solution of each forcing class, and the curves
 the paper prints. ``builtin_field`` builds a field from the declaration;
 ``upscale`` builds the limit problem and the derived oracle from the rest.
-Every family but ``manufactured`` is A(l) sin(b(l) t) + c(l), declared by
-its per-edge arrays (A, b, c), which the load assembly reads directly to
-share one hat-load row between all edges with the same frequency b; ex5,
-whose b = pi q(l) differs on every edge, also declares the integer q, so
-its loads fold over q mod 2m. The radial classes of ex3, ex4 and ex5 are
-written once, in ``RADIAL_CLASSES``, and split the edges by
-``every_third``. Random families pre-draw their per-edge randomness.
+Every family but ``manufactured`` is A(l) sin(pi q(l) t) + c(l) with an
+integer q(l), declared by its per-edge triple (A, q, c): the profile is
+built from it, and the load assembly reads it to fold every edge's loads
+over q mod 2m. The radial classes of ex3, ex4 and ex5 are written once,
+in ``RADIAL_CLASSES``, and split the edges by ``every_third``. Random
+families pre-draw their per-edge randomness.
 """
 from __future__ import annotations
 
@@ -54,31 +53,22 @@ class GridFunction(Record):
 class ForcingField(Record):
     """Radial forcing indexed by edge.
 
-    ``bounded_l2`` is a uniform bound on the per-edge L2 norms when one
-    exists. ``profile(ells, t)`` evaluates a whole
-    block of edges at once. A sine family also carries its declaration
-    ``sine_coeffs(ells) -> (A, b, c)`` (arrays or scalars per edge) of
-    A sin(b s) + c, with s = t, or s = 1 - t under ``orientation`` "rim";
-    its profile is built from it and the load assembly reads it in place of
-    ``profile``. A field without one is assembled point by point. A sine
-    family whose b takes at most two values declares them in
-    ``frequencies``; edge l's frequency class is the index of its b there.
-    A sine family whose every b is an integer multiple of pi declares
-    ``pi_sine_coeffs(ells) -> (A, q, c)`` with the integer q = b / pi per
-    edge. A built-in declaration also takes the ``every_third`` mask of
-    ``ells`` as a second argument, when its caller has it.
+    ``profile(ells, t)`` evaluates a whole block of edges at once. A sine
+    family also carries its declaration ``pi_sine_coeffs(ells) -> (A, q,
+    c)`` (arrays or scalars per edge, q an integer) of A sin(pi q s) + c,
+    with s = t, or s = 1 - t under ``orientation`` "rim"; its profile is
+    built from it, and the load assembly reads it in place of ``profile``.
+    A field without one is assembled from its values at the Gauss points.
+    A built-in declaration also takes the ``every_third`` mask of ``ells``
+    as a second argument, when its caller has it.
     """
 
     def __init__(self, family_id: str, parameters: dict, seed: Optional[int],
                  profile: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                 bounded_l2: Optional[float] = None,
                  max_edge: Optional[int] = None,
-                 sine_coeffs: Optional[Callable[[np.ndarray], tuple]] = None,
-                 frequencies: Optional[tuple] = None,
                  pi_sine_coeffs: Optional[Callable[[np.ndarray], tuple]] = None):
         self._set(family_id=family_id, parameters=parameters, seed=seed,
-                  profile=profile, bounded_l2=bounded_l2, max_edge=max_edge,
-                  sine_coeffs=sine_coeffs, frequencies=frequencies,
+                  profile=profile, max_edge=max_edge,
                   pi_sine_coeffs=pi_sine_coeffs)
 
     def _edges(self, ells) -> np.ndarray:
@@ -102,23 +92,20 @@ class ForcingField(Record):
 
 
 def _sine_profile(coeffs):
-    """Profile A(l) sin(b(l) t) + c(l) from ``coeffs(ells) -> (A, b, c)``."""
+    """Profile A(l) sin(pi q(l) t) + c(l) from ``coeffs(ells) -> (A, q, c)``."""
 
     def profile(ells, t):
         tt = t.reshape((1,) + t.shape)
-        Ae, be, ce = (np.broadcast_to(v, ells.shape).reshape(
+        Ae, qe, ce = (np.broadcast_to(v, ells.shape).reshape(
             ells.shape + (1,) * t.ndim) for v in coeffs(ells))
-        return Ae * np.sin(be * tt) + ce
+        return Ae * np.sin(PI * qe * tt) + ce
 
     return profile
 
 
-#: (A, b / pi) of the radial classes of ex3, ex4 and ex5: A sin(b t) with
+#: (A, q) of the radial classes of ex3, ex4 and ex5: A sin(pi q t) with
 #: the first pair on every third edge (l = 3, 6, ...), the second elsewhere
-_RADIAL_PI = ((4 * PI**2, 2), (PI**2, 1))
-
-#: (A, b) of the radial classes
-RADIAL_CLASSES = tuple((A, PI * k) for A, k in _RADIAL_PI)
+RADIAL_CLASSES = ((4 * PI**2, 2), (PI**2, 1))
 
 #: factor k of the manufactured forcing k g, by the same every-third-edge rule
 MANUFACTURED_K = (1.0, 2.0)
@@ -134,7 +121,7 @@ def _by_class(ells, *pairs, third=None):
 
 
 def _radial_groups(ells, third=None):
-    """(A, b) of the two-frequency radial part shared by ex3, ex4 and ex5."""
+    """(A, q) of the two-frequency radial part shared by ex3, ex4 and ex5."""
     return _by_class(ells, *zip(*RADIAL_CLASSES), third=third)
 
 
@@ -143,9 +130,6 @@ def _angular_ex3(ells):
     # which is bounded and Cesaro-null, unlike a literal l - floor(l/(2*pi))
     # (ells // 6) & 1 is the parity: the sign without a float power
     return (1 - 2 * ((ells // 6) & 1)) * (10.0 * np.mod(ells, TWO_PI))
-
-
-_SQ2 = np.sqrt(2.0)
 
 
 def manufactured_profile(t):
@@ -162,33 +146,22 @@ def manufactured_exact_deriv(t):
 
 
 # Per-family declarations: (parameters, seed) -> ForcingField keywords,
-# either ``sine_coeffs`` or ``profile``, plus ``bounded_l2``, ``max_edge``,
-# the ``frequencies`` of a family with at most two and the
-# ``pi_sine_coeffs`` of a family whose frequencies are multiples of pi.
-
-#: the frequencies of the radial classes, in class order
-_RADIAL_FREQUENCIES = tuple(b for _, b in RADIAL_CLASSES)
+# either ``pi_sine_coeffs`` or ``profile``, plus ``max_edge``.
 
 
-def _fixed(sine, bound, **declared):
-    """Declaration of a family without parameters."""
-    return lambda parameters, seed: dict(sine_coeffs=sine, bounded_l2=bound,
-                                         **declared)
+def _fixed(sine):
+    """Declaration of a sine family without parameters."""
+    return lambda parameters, seed: dict(pi_sine_coeffs=sine)
 
 
 def _ex1_sine(l, third=None):
-    return PI**2 * np.cos(l), PI, 0.0
-
-
-def _ex5_pi_sine(l, third=None):
-    """(A, q, c) of ex5: b = pi q with q = 2 l on every third edge, else l."""
-    A, k = _by_class(l, *zip(*_RADIAL_PI), third=third)
-    return A, k * l, 0.0
+    return PI**2 * np.cos(l), 1, 0.0
 
 
 def _ex5_sine(l, third=None):
-    A, q, c = _ex5_pi_sine(l, third)
-    return A, PI * q, c
+    """(A, q, c) of ex5: q = 2 l on every third edge, else l."""
+    A, k = _radial_groups(l, third)
+    return A, k * l, 0.0
 
 
 def _ex2(parameters, seed):
@@ -207,14 +180,12 @@ def _ex2(parameters, seed):
     def sine(l, third=None):
         return _ex1_sine(l)[:2] + (z[l - 1],)
 
-    return dict(sine_coeffs=sine, bounded_l2=PI**2 / _SQ2 + noise,
-                max_edge=max_edge, frequencies=(PI,))
+    return dict(pi_sine_coeffs=sine, max_edge=max_edge)
 
 
 def _constant(parameters, seed):
     c = float(parameters.get("c", 0.0))
-    return dict(sine_coeffs=lambda l, third=None: (0.0, 0.0, c),
-                bounded_l2=abs(c), frequencies=(0.0,))
+    return dict(pi_sine_coeffs=lambda l, third=None: (0.0, 0, c))
 
 
 def _manufactured(parameters, seed):
@@ -223,23 +194,18 @@ def _manufactured(parameters, seed):
     if coeffs is None:
         def kfun(l):
             return _by_class(l, MANUFACTURED_K)[0]
-        kmax = max(MANUFACTURED_K)
     else:
         karr = np.asarray(coeffs, dtype=float)
 
         def kfun(l):
             return karr[l - 1]
-        kmax = float(karr.max())
         max_edge = len(karr)
 
     def profile(ells, t):
         g = manufactured_profile(t)
         return kfun(ells).reshape(ells.shape + (1,) * t.ndim) * g[None, ...]
 
-    tq = (np.arange(64)[:, None] + GAUSS3_X[None, :]).ravel() / 64
-    wq = np.tile(GAUSS3_W / 64, 64)
-    gnorm = float(np.sqrt(np.sum(wq * manufactured_profile(tq) ** 2)))
-    return dict(profile=profile, bounded_l2=kmax * gnorm, max_edge=max_edge)
+    return dict(profile=profile, max_edge=max_edge)
 
 
 # Per-family limits: parameters -> one (forcing, particular) pair per
@@ -257,7 +223,7 @@ def _sine_class(A, b):
 
 
 _NULL_LIMIT = ((_zero, _zero),)
-_RADIAL_LIMIT = tuple(_sine_class(A, b) for A, b in RADIAL_CLASSES)
+_RADIAL_LIMIT = tuple(_sine_class(A, PI * q) for A, q in RADIAL_CLASSES)
 
 
 def _constant_limit(parameters):
@@ -290,28 +256,21 @@ class Family(NamedTuple):
 
 
 FAMILIES = {
-    "ex1": Family(frozenset(), _fixed(_ex1_sine, PI**2 / _SQ2,
-                                      frequencies=(PI,)),
+    "ex1": Family(frozenset(), _fixed(_ex1_sine),
                   lambda p: _NULL_LIMIT, (_zero, _zero)),
     "ex2": Family(frozenset({"noise", "n_edges"}), _ex2,
                   lambda p: _NULL_LIMIT, (_zero, _zero)),
     "ex3": Family(frozenset(), _fixed(
                       lambda l, third=None: _radial_groups(l, third)
-                      + (_angular_ex3(l),),
-                      4 * PI**2 / _SQ2 + 20 * PI,
-                      frequencies=_RADIAL_FREQUENCIES),
+                      + (_angular_ex3(l),)),
                   lambda p: _RADIAL_LIMIT,
                   (lambda t: np.sin(TWO_PI * t),
                    lambda t: 0.5 * np.sin(PI * t))),
     "ex4": Family(frozenset(), _fixed(
                       lambda l, third=None: _radial_groups(l, third)
-                      + ((1 - 2 * (l & 1)) * np.sqrt(l.astype(float)),),
-                      None, frequencies=_RADIAL_FREQUENCIES),
+                      + ((1 - 2 * (l & 1)) * np.sqrt(l.astype(float)),)),
                   lambda p: _RADIAL_LIMIT),
-    # b is an integer multiple of pi, so every edge norm is exactly A/sqrt(2)
-    "ex5": Family(frozenset(), _fixed(_ex5_sine, 4 * PI**2 / _SQ2,
-                                      pi_sine_coeffs=_ex5_pi_sine),
-                  lambda p: None),
+    "ex5": Family(frozenset(), _fixed(_ex5_sine), lambda p: None),
     "constant": Family(frozenset({"c"}), _constant, _constant_limit),
     "manufactured": Family(frozenset({"coeffs"}), _manufactured,
                            _manufactured_limit),
@@ -348,7 +307,7 @@ def builtin_field(example_id: str, parameters: dict | None = None,
     if orientation not in ("center", "rim"):
         raise InvalidArgumentError("orientation is 'center' or 'rim'")
     decl = record.declare(parameters, seed)
-    profile = decl.pop("profile", None) or _sine_profile(decl["sine_coeffs"])
+    profile = decl.pop("profile", None) or _sine_profile(decl["pi_sine_coeffs"])
     if orientation == "rim":
         inner = profile
 

@@ -26,7 +26,6 @@ from starfem import (
     grid_norms,
     rate_estimate,
     rate_from_errors,
-    reading_report,
     reference_grids,
     sample_grid,
     solve_example_stage,
@@ -473,29 +472,35 @@ class TestStarFreeSweep:
 
     @pytest.mark.parametrize("coeff", ["deterministic", "random"])
     def test_group_sums_of_a_long_stage_match_fsum(self, monkeypatch, coeff):
+        # ex3's q is 1 or 2, below 2m, so each block sums A and c per
+        # (group, q) before the fold scales them by G(q) and H(q)
         n = 10**6
-        yielded = []
-        group_terms = analysis._group_terms
+        blocks = []
+        sums_per_q = femsolve._sums_per_q
 
         def spy(*args):
-            for ends, counts, terms in group_terms(*args):
-                yielded.append(terms.copy())
-                yield ends, counts, terms
+            blocks.append(sums_per_q(*args))
+            return blocks[-1]
 
-        monkeypatch.setattr(analysis, "_group_terms", spy)
+        monkeypatch.setattr(femsolve, "_sums_per_q", spy)
         list(group_average_sweep("ex3", [n], 8, coeff=coeff, seed=2))
-        (terms,), = yielded  # (1, groups, [A of class 0, A of class 1, c])
+        assert len(blocks) > 50
+        # (groups, q = 0, 1, 2) per block, added in turn as the sweep adds
+        # the blocks' load sums
+        assert all(a.shape == c.shape == (2, 3) for a, c in blocks)
+        a_sums = sum(a for a, _ in blocks)
+        c_sums = sum(c.sum(axis=1) for _, c in blocks)
         ells = np.arange(1, n + 1)
-        A, b, c = builtin_field("ex3").sine_coeffs(ells)
+        A, q, c = builtin_field("ex3").pi_sine_coeffs(ells)
         group = build_stage(n, coeff, seed=2).group_of - 1
         for i in (0, 1):
-            for j, freq in enumerate((2 * PI, PI)):
+            assert a_sums[i, 0] == 0.0
+            for k in (1, 2):
                 # positive terms: no cancellation to hide behind
-                ref = math.fsum(A[(group == i) & (b == freq)])
-                assert abs(terms[i, j] - ref) <= 1e-14 * abs(ref)
+                ref = math.fsum(A[(group == i) & (q == k)])
+                assert abs(a_sums[i, k] - ref) <= 1e-14 * abs(ref)
             ref = math.fsum(c[group == i])
-            assert abs(terms[i, 2] - ref) <= 1e-12 * abs(ref)
-
+            assert abs(c_sums[i] - ref) <= 1e-12 * abs(ref)
 
     @pytest.mark.parametrize("coeff", ["deterministic", "random"])
     @pytest.mark.parametrize("family", ["ex3", "ex4", "ex5"])
@@ -766,16 +771,22 @@ class TestEquidistribution:
 
 
 class TestReadingReport:
+    """ex3 against its printed curves with t from the center or the rim."""
+
+    @staticmethod
+    def _rows(reading):
+        rows = convergence_table("ex3", [10], 100, "printed",
+                                 parameters={"orientation": reading},
+                                 full_h1=True)
+        return {(r.n, r.group): r for r in rows}
+
     def test_rim_reading_reproduces_the_published_row(self):
-        rep = reading_report([10], 100)
-        assert set(rep) == {"center", "rim"}
-        rim = {(r.n, r.group): r for r in rep["rim"]}
+        rim = self._rows("rim")
         assert rim[(10, 1)].l2_error == pytest.approx(1.6392, rel=2e-3)
         assert rim[(10, 2)].l2_error == pytest.approx(0.4900, rel=2e-3)
         assert rim[(10, 1)].h1_error == pytest.approx(5.7447, rel=2e-3)
         assert rim[(10, 2)].h1_error == pytest.approx(1.3210, rel=2e-3)
 
     def test_center_reading_misses_that_row(self):
-        rep = reading_report([10], 100)
-        center = {(r.n, r.group): r for r in rep["center"]}
+        center = self._rows("center")
         assert abs(center[(10, 2)].l2_error - 0.4900) > 0.5

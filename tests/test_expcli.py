@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from starfem import (ExperimentConfig, edge_identity_residual, parse_config,
                      run, solve_example_stage)
 from starfem.errors import ConfigError
-from starfem.expcli import FLOAT_FMT, _validate, main
+from starfem.expcli import _PARSERS, FLOAT_FMT, _validate, main
 
 BASE = "example=ex1\nstages=4,8\nmesh=8\n"
 
@@ -100,6 +100,23 @@ class TestParse:
 
     def test_unset_noise_stays_out_of_the_header(self):
         assert "noise" not in parse_config("example=ex2\n").normalized()
+
+    def test_readme_key_table_lists_exactly_the_parsed_keys(self):
+        # a key added to the parser without a row in README's table fails
+        readme = os.path.join(os.path.dirname(__file__), os.pardir,
+                              "README.md")
+        lines = iter(_read(readme).splitlines())
+        for line in lines:
+            if line.startswith("| key | meaning | default |"):
+                break
+        next(lines)  # the |---| rule under the header
+        keys = []
+        for line in lines:
+            if not line.startswith("|"):
+                break
+            keys.append(line.split("|")[1].strip().strip("`"))
+        assert sorted(keys) == sorted(_PARSERS)
+        assert len(keys) == len(set(keys))
 
     def test_parameters_routing(self):
         cfg = parse_config("example=ex2\nnoise=0.5\norientation=rim\n")

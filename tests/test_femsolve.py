@@ -34,7 +34,7 @@ from starfem import (
 )
 from starfem import femsolve
 from starfem.femsolve import (ArrowheadSystem, assemble_reduced,
-                              group_load_terms, load_basis)
+                              group_load_terms)
 
 PI = np.pi
 
@@ -107,8 +107,16 @@ class TestAssembly:
         assert np.linalg.eigvalsh(A)[0] > 0
 
 
+def _ex5_scalars(ells):
+    """(A, q) of ex5 edges: q = 2 l on every third edge, else l."""
+    ells = np.asarray(ells)
+    third = ells % 3 == 0
+    return np.where(third, 4 * PI**2, PI**2), np.where(third, 2, 1) * ells
+
+
 class TestFactorizedLoads:
-    """Sine families share hat-load rows; the per-edge path is the judge."""
+    """Sine families fold their loads over q mod 2m; the judges are the
+    per-edge Gauss-point path and an extended-precision Gauss rule."""
 
     @pytest.mark.parametrize("orientation", ["center", "rim"])
     @pytest.mark.parametrize("family,params", [
@@ -123,12 +131,18 @@ class TestFactorizedLoads:
         stage = build_stage(40, source="random", seed=2)
         field = builtin_field(family, dict(params, orientation=orientation),
                               seed=4)
-        assert field.sine_coeffs is not None
-        per_edge = field.replace(sine_coeffs=None)
+        assert field.pi_sine_coeffs is not None
+        per_edge = field.replace(pi_sine_coeffs=None)
         for m in (2, 37):
             fast = assemble_loads(field, stage, m)
-            ref = assemble_loads(per_edge, stage, m)
-            assert fast.shape == ref.shape == (40, m + 1)
+            assert fast.shape == (40, m + 1)
+            if family == "ex5":
+                # the per-edge path rounds the phase b t of every Gauss
+                # point, an error of ~ b eps that the fold does not make
+                ref = np.array([gauss_hat_loads(A, q, m, orientation)
+                                for A, q in zip(*_ex5_scalars(range(1, 41)))])
+            else:
+                ref = assemble_loads(per_edge, stage, m)
             assert np.max(np.abs(fast - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("family,params", [
@@ -146,30 +160,63 @@ class TestFactorizedLoads:
         loads = assemble_loads(field, stage, 13)
         ref = np.array([loads[stage.group_mask(i)].sum(axis=0)
                         for i in (1, 2, 3)])
-        # two blocks of edges summed separately, as a sweep would, over
-        # the basis of a field with at most two frequencies
+        # two blocks of edges summed separately, as a sweep would
         sums = sum(group_load_terms(field, np.arange(lo + 1, hi + 1),
                                     stage.group_of[lo:hi] - 1, 3, 13)
                    for lo, hi in ((0, 23), (23, 60)))
-        basis = load_basis(field, 13)
-        assert (basis is None) == (family in ("ex5", "manufactured"))
-        if basis is not None:
-            assert sums.shape == (3, len(field.frequencies) + 1)
-            sums = sums @ basis
+        assert sums.shape == (3, 14)
         assert np.max(np.abs(sums - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("family,first,last,m", [
+        ("ex5", 1, 999, 1000),  # every q = l or 2l below 2m = 2000
+        ("ex3", 1, 5000, 8),    # q = 1 or 2, thousands of edges per q
+    ])
+    def test_both_accumulation_orders_agree(self, monkeypatch, family, first,
+                                            last, m):
+        # a block whose every q lies below 2m sums A and c per (group, q)
+        # and scales by G(q) and H(q); summing A G and A H edge by edge
+        # must give the same load sums within 1e-15 of the summed terms
+        field = builtin_field(family)
+        ells = np.arange(first, last + 1)
+        key = np.random.default_rng(1).integers(0, 3, ells.size)
+        calls = []
+        per_q = femsolve._weights_per_q
+
+        def spy(*args):
+            calls.append(args)
+            return per_q(*args)
+
+        monkeypatch.setattr(femsolve, "_weights_per_q", spy)
+        by_q = group_load_terms(field, ells, key, 3, m)
+        assert len(calls) == 1
+        monkeypatch.setattr(femsolve, "_weights_per_q",
+                            lambda *args: femsolve._weights_per_edge(
+                                *args[:-1]))
+        by_edge = group_load_terms(field, ells, key, 3, m)
+        # the terms each node sum adds, edge by edge
+        A, q, c = (np.broadcast_to(v, ells.shape)
+                   for v in field.pi_sine_coeffs(ells))
+        G, H = femsolve._fold_scalars(q, m)
+        k = np.arange(m + 1)
+        terms = (A * G)[:, None] * np.sin(np.pi * (q[:, None] * k % (2 * m))
+                                          / m)
+        terms[:, 0] = A * H
+        terms[:, m] = (2 * (q & 1) - 1) * A * H
+        terms += c[:, None] * femsolve._unit_row(m)
+        size = np.array([np.abs(terms[key == i]).sum(axis=0)
+                         for i in range(3)])
+        assert np.all(np.abs(by_q - by_edge) <= 1e-15 * size)
 
     def test_many_groups_form_no_dense_pair_table(self):
         # 500 edges with their own frequencies in 2000 groups: the full
         # (group, row) table would hold 10^6 values, the pairs that occur
         # only 500 rows of m+1. The judge evaluates the Gauss rule in
-        # extended precision: the per-edge Gauss rows carry a phase error
-        # of ~ b eps, 1e-12 of the loads at l = 500
+        # extended precision
         field = builtin_field("ex5")
         ells = np.arange(1, 501)
         key = 4 * np.arange(500)
-        third = ells % 3 == 0
-        ref = np.array([gauss_hat_loads(A, q, 10) for A, q in zip(
-            np.where(third, 4 * PI**2, PI**2), np.where(third, 2, 1) * ells)])
+        ref = np.array([gauss_hat_loads(A, q, 10)
+                        for A, q in zip(*_ex5_scalars(ells))])
         tracemalloc.start()
         try:
             sums = group_load_terms(field, ells, key, 2000, 10)
@@ -180,24 +227,31 @@ class TestFactorizedLoads:
         assert np.array_equal(np.flatnonzero(sums.any(axis=1)), key)
         assert np.max(np.abs(sums[key] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
+    #: ex5 edges from the first to far past the reach of a rounded phase
+    EX5_EDGES = (1, 7, 999, 1200, 10**6 + 1, 10**7 + 2)
+
     @pytest.mark.parametrize("orientation", ["center", "rim"])
     @pytest.mark.parametrize("m", [2, 13, 100])
     def test_folded_loads_match_extended_precision(self, m, orientation):
         # ex5 edge l carries A sin(pi q s), q = 2l on every third edge; the
         # judge is the same Gauss rule evaluated with b = pi q exact
         field = builtin_field("ex5", {"orientation": orientation})
-        for ell in (1, 7, 999, 1200, 10**6 + 1, 10**7 + 2):
-            A, q = (4 * PI**2, 2 * ell) if ell % 3 == 0 else (PI**2, ell)
+        for ell, A, q in zip(self.EX5_EDGES, *_ex5_scalars(self.EX5_EDGES)):
             ref = gauss_hat_loads(A, q, m, orientation)
-            one = np.array([ell])
-            folded = group_load_terms(field, one, [0], 1, m)[0]
-            err = np.max(np.abs(folded - ref))
-            if ell <= 1200:
-                assert err <= 1e-14 * np.max(np.abs(ref))
-            else:
-                # no farther than the per-edge Gauss rows of the full solve
-                rows, which, a, _, _ = femsolve._load_terms(field, one, m)
-                assert err <= np.max(np.abs(a[0] * rows[which[0]] - ref))
+            folded = group_load_terms(field, np.array([ell]), [0], 1, m)[0]
+            assert np.max(np.abs(folded - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("orientation", ["center", "rim"])
+    @pytest.mark.parametrize("m", [2, 13, 100])
+    def test_full_solve_loads_match_extended_precision(self, m, orientation):
+        # the loads ``assemble_loads`` builds for ex5: one fold row per
+        # residue q mod 2m, with no phase rounded past 2 pi
+        field = builtin_field("ex5", {"orientation": orientation})
+        loads = femsolve._fold_loads(field, np.array(self.EX5_EDGES), m)
+        assert loads.shape == (len(self.EX5_EDGES), m + 1)
+        for row, A, q in zip(loads, *_ex5_scalars(self.EX5_EDGES)):
+            ref = gauss_hat_loads(A, q, m, orientation)
+            assert np.max(np.abs(row - ref)) <= 1e-15 * np.max(np.abs(ref))
 
     def test_folded_phase_range_is_checked(self):
         # q d is reduced exactly only while q D fits an int64
@@ -206,6 +260,8 @@ class TestFactorizedLoads:
             .shape == (1, 5)
         with pytest.raises(InvalidArgumentError, match="2\\^36"):
             group_load_terms(field, np.array([2**36]), [0], 1, 4)
+        with pytest.raises(InvalidArgumentError, match="2\\^36"):
+            femsolve._fold_loads(field, np.array([2**36]), 4)
 
     def test_edge_range_checked_like_the_per_edge_path(self):
         with pytest.raises(InvalidArgumentError):

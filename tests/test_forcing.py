@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _reference import l2_of, quad_moment
+from _reference import quad_moment
 from starfem import (
     EmptyGroupError,
     GridFunction,
@@ -158,44 +158,41 @@ def test_growing_frequency_family_formula():
 
 @pytest.mark.parametrize("example", FAMILY_IDS)
 def test_declared_frequencies_are_the_edges_frequencies(example):
-    # the sweep keys each edge by its index in ``frequencies``; a family
-    # without the declaration (ex5: one frequency per edge) sorts instead
+    # a sine family declares (A, q, c) per edge with an integer q; the load
+    # assembly folds it, and its profile is A sin(pi q t) + c bitwise
     params = {"n_edges": 3000} if example == "ex2" else {}
     f = builtin_field(example, params, seed=1)
-    if f.frequencies is None:
-        assert example in ("ex5", "manufactured")
+    if f.pi_sine_coeffs is None:
+        assert example == "manufactured"
         return
-    assert 1 <= len(f.frequencies) <= 2
     ells = np.arange(1, 3001)
-    b = np.broadcast_to(f.sine_coeffs(ells)[1], ells.shape)
-    assert set(np.unique(b).tolist()) <= set(f.frequencies)
+    A, q, c = (np.broadcast_to(v, ells.shape) for v in f.pi_sine_coeffs(ells))
+    assert q.dtype.kind == "i" and np.all(q >= 0)
+    t = np.linspace(0, 1, 7)
+    assert np.array_equal(f.values(ells, t), A[:, None] * np.sin(
+        PI * q[:, None] * t) + c[:, None])
 
 
 def test_pi_multiples_are_the_edges_frequencies():
-    # ex5 declares b / pi as integers; the fold reads them, so they must be
-    # its frequencies bitwise, and its A
+    # q = 2l on every third edge, else l; the mask a sweep hands on gives
+    # the same numbers
     field = builtin_field("ex5")
     ells = np.concatenate([np.arange(1, 3001), 10**7 + np.arange(3)])
-    A, b, c = field.sine_coeffs(ells)
-    A_pi, q, c_pi = field.pi_sine_coeffs(ells)
-    assert q.dtype.kind == "i"
-    assert np.array_equal(q, np.where(ells % 3 == 0, 2 * ells, ells))
-    assert np.array_equal(PI * q, b)
-    assert np.array_equal(A_pi, A) and c_pi == c == 0.0
-    # the mask a sweep hands on gives the same numbers
+    A, q, c = field.pi_sine_coeffs(ells)
     third = ells % 3 == 0
+    assert np.array_equal(q, np.where(third, 2 * ells, ells))
+    assert np.array_equal(A, np.where(third, 4 * PI**2, PI**2)) and c == 0.0
     assert all(np.array_equal(x, y) for x, y in
                zip(field.pi_sine_coeffs(ells, third), (A, q, c)))
-    assert builtin_field("ex3").pi_sine_coeffs is None
 
 
 def test_angular_parts_match_their_formulas_bitwise():
     # the signs come from parities, not float powers
     ells = np.arange(1, 5001)
-    c3 = builtin_field("ex3").sine_coeffs(ells)[2]
+    c3 = builtin_field("ex3").pi_sine_coeffs(ells)[2]
     assert np.array_equal(
         c3, (-1.0) ** (ells // 6) * 10.0 * np.mod(ells, 2 * PI))
-    c4 = builtin_field("ex4").sine_coeffs(ells)[2]
+    c4 = builtin_field("ex4").pi_sine_coeffs(ells)[2]
     assert np.array_equal(c4, (-1.0) ** ells * np.sqrt(ells.astype(float)))
 
 
@@ -203,7 +200,6 @@ def test_constant_family():
     f = builtin_field("constant", {"c": 2.5})
     t = np.linspace(0, 1, 5)
     assert np.array_equal(f.values(np.array([1, 4]), t), np.full((2, 5), 2.5))
-    assert f.bounded_l2 == 2.5
 
 
 def test_manufactured_profile_matches_its_exact_solution():
@@ -236,26 +232,6 @@ def test_rim_orientation_reverses_the_profile():
         ells = np.arange(1, 7)
         assert np.allclose(fr.values(ells, t), fc.values(ells, 1.0 - t),
                            atol=1e-13)
-
-
-@pytest.mark.parametrize("family,params", [
-    ("ex1", {}),
-    ("ex2", {"n_edges": 30}),
-    ("ex3", {}),
-    ("ex5", {}),
-    ("constant", {"c": -4.0}),
-    ("manufactured", {}),
-])
-def test_stated_norm_bound_holds_on_every_edge(family, params):
-    f = builtin_field(family, params, seed=2)
-    assert f.bounded_l2 is not None
-    for ell in range(1, 31):
-        norm = l2_of(lambda t: f.eval(ell, float(t)))
-        assert norm <= f.bounded_l2 * (1 + 1e-6), (family, ell, norm)
-
-
-def test_alternating_root_family_is_unbounded_by_design():
-    assert builtin_field("ex4").bounded_l2 is None
 
 
 class TestMoments:
