@@ -9,22 +9,18 @@ equidistribution check, all reproducible from flat config files via the
 from ._rng import PRNG_NAME
 from .errors import (ConfigError, EmptyGroupError, InvalidArgumentError,
                      NumericalBreakdownError, StarFemError, UndefinedRateError)
-from .stargraph import (GROUP_PROBS, GROUP_VALUES, TWO_PI, GroupStats,
-                        StarStage, build_stage, coefficient_random,
-                        group_stats, vertex_angles)
+from .stargraph import (GROUP_PROBS, GROUP_VALUES, TWO_PI, StarStage,
+                        build_stage, coefficient_random)
 from .forcing import (ForcingField, GridFunction, builtin_field,
-                      cesaro_forcing_average, edge_load_moment,
                       manufactured_exact, manufactured_exact_deriv,
                       manufactured_profile, profile_moment)
 from .femsolve import (ArrowheadSystem, StageSolution, assemble,
                        assemble_loads, center_flux_sum,
-                       center_identity_residual, edge_flux_at_center,
-                       edge_identity_residual, manufactured_case, solve,
-                       solve_stage)
+                       center_identity_residual, edge_identity_defects,
+                       manufactured_case, solve, solve_stage)
 from .upscale import (HomogenizedSolution, UpscaledProblem,
                       analytic_oracle, build_upscaled, center_limit,
-                      predicted_edge_flux, solve_upscaled,
-                      weighted_flux_defect)
+                      predicted_edge_flux, solve_upscaled)
 from .analysis import (CauchyRow, ConvergenceRow, cauchy_diagnostics,
                        cesaro_solution_average, continuum_error_norms,
                        convergence_table, grid_norms, rate_estimate,
@@ -39,19 +35,16 @@ __all__ = [
     "PRNG_NAME",
     "StarFemError", "InvalidArgumentError", "NumericalBreakdownError",
     "EmptyGroupError", "UndefinedRateError", "ConfigError",
-    "GROUP_PROBS", "GROUP_VALUES", "TWO_PI", "StarStage", "GroupStats",
-    "vertex_angles", "coefficient_random",
-    "build_stage", "group_stats",
-    "ForcingField", "GridFunction", "builtin_field", "edge_load_moment",
-    "profile_moment", "cesaro_forcing_average",
+    "GROUP_PROBS", "GROUP_VALUES", "TWO_PI", "StarStage",
+    "coefficient_random", "build_stage",
+    "ForcingField", "GridFunction", "builtin_field", "profile_moment",
     "manufactured_profile", "manufactured_exact", "manufactured_exact_deriv",
     "ArrowheadSystem", "StageSolution", "assemble", "assemble_loads",
     "solve", "solve_stage", "center_identity_residual",
-    "edge_identity_residual", "edge_flux_at_center", "center_flux_sum",
-    "manufactured_case",
+    "edge_identity_defects", "center_flux_sum", "manufactured_case",
     "UpscaledProblem", "HomogenizedSolution",
     "solve_upscaled", "center_limit", "predicted_edge_flux",
-    "build_upscaled", "analytic_oracle", "weighted_flux_defect",
+    "build_upscaled", "analytic_oracle",
     "ConvergenceRow", "CauchyRow", "cesaro_solution_average", "grid_norms",
     "continuum_error_norms", "convergence_table", "cauchy_diagnostics",
     "rate_estimate", "rate_from_errors", "weyl_fraction", "weyl_cos_mean",

@@ -30,8 +30,8 @@ from .analysis import (cauchy_diagnostics, convergence_table, largest_bh,
                        weyl_fraction)
 from .errors import (ConfigError, EmptyGroupError, InvalidArgumentError,
                      NumericalBreakdownError, UndefinedRateError)
-from .femsolve import (_edge_identity_defects, center_flux_sum,
-                       center_identity_residual)
+from .femsolve import (center_flux_sum, center_identity_residual,
+                       edge_identity_defects)
 from .forcing import FAMILY_IDS
 from .stargraph import GROUP_PROBS, GROUP_VALUES, TWO_PI
 from .upscale import (build_upscaled, center_limit, predicted_edge_flux,
@@ -174,7 +174,8 @@ def _datum(raw: str, line: int) -> dict:
             "h_linear": match.group("lin") is not None}
 
 
-#: parser of each key's raw text; ``h`` sets the two datum fields
+#: parser of each key's raw text, given its config line (None for a
+#: flag); ``h`` sets the two datum fields
 _PARSERS = {
     "example": _one_of("example", FAMILY_IDS),
     "emit": _one_of("emit", EMITS),
@@ -413,7 +414,7 @@ def _run_identity(config: ExperimentConfig) -> str:
     sol = solve_example_stage(config.example, config.n, config.mesh,
                               h=config.h_of(config.n), **_stage_kwargs(config))
     center_res = center_identity_residual(sol)
-    edge_res = float(_edge_identity_defects(sol).max())
+    edge_res = float(edge_identity_defects(sol).max())
     flux_gap = abs(center_flux_sum(sol) + sol.h + float(sol.node_loads[:, 0].sum()))
     rows = [(config.n, config.mesh, center_res, edge_res, flux_gap)]
     return _write_csv(config, _out_path(config), [],
@@ -491,6 +492,18 @@ _SUBCOMMAND_EMIT = {
 _NEEDS_CONFIG = ("solve", "table", "cauchy", "upscaled", "identity")
 
 
+#: config keys that are also flags: the subcommands that take each (None
+#: for every one) and its help; a flag's text is parsed as the key's is
+_FLAGS = {
+    "out": (None, "output file path"),
+    "seed": (None, "override the config seed"),
+    "mesh": (None, "override elements per edge"),
+    "n": (("solve", "identity", "weyl"), "stage size (weyl: count)"),
+    "interval": (("weyl",), "subinterval of [0,2pi], e.g. '0,pi'"),
+    "errors": (("rate",), "comma-separated error sequence, length >= 4"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="starfem",
@@ -501,19 +514,11 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, emit in _SUBCOMMAND_EMIT.items():
         p = sub.add_parser(name, help=f"emit {emit} CSV")
         p.add_argument("--config", help="path to a key=value config file")
-        p.add_argument("--out", help="output file path")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--mesh", type=int, help="override elements per edge")
         p.add_argument("--timestamp", action="store_true",
                        help="add a generation timestamp comment")
-        if name in ("solve", "identity", "weyl"):
-            p.add_argument("--n", type=int, help="stage size (weyl: count)")
-        if name == "weyl":
-            p.add_argument("--interval",
-                           help="subinterval of [0,2pi], e.g. '0,pi'")
-        if name == "rate":
-            p.add_argument("--errors",
-                           help="comma-separated error sequence, length >= 4")
+        for key, (names, help_text) in _FLAGS.items():
+            if names is None or name in names:
+                p.add_argument(f"--{key}", help=help_text)
     return parser
 
 
@@ -525,22 +530,15 @@ def _config_from_args(args) -> ExperimentConfig:
     else:
         config = ExperimentConfig(example="ex1")
     updates = {"emit": _SUBCOMMAND_EMIT[args.command]}
-    if args.out is not None:
-        updates["out"] = args.out
-    if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            raise ConfigError("seed must fit in an unsigned 64-bit value")
-        updates["seed"] = args.seed
-    if args.mesh is not None:
-        updates["mesh"] = args.mesh
     if args.timestamp:
         updates["timestamp"] = True
-    if getattr(args, "n", None) is not None:
-        updates["n"] = args.n
-    if getattr(args, "interval", None) is not None:
-        updates["interval"] = _float_list(args.interval, 0)
-    if getattr(args, "errors", None) is not None:
-        updates["errors"] = _float_list(args.errors, 0)
+    for key in _FLAGS:
+        raw = getattr(args, key, None)
+        if raw is not None:
+            try:
+                updates[key] = _PARSERS[key](raw.strip(), None)
+            except ConfigError as exc:
+                raise ConfigError(f"--{key}: {exc}") from None
     config = config._replace(**updates)
     _validate(config)
     return config

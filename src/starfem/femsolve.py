@@ -620,53 +620,30 @@ def _load_moments(solution: StageSolution) -> np.ndarray:
     return solution.node_loads @ w
 
 
-def center_identity_residual(solution: StageSolution,
-                             stage: StarStage | None = None,
-                             field: ForcingField | None = None,
-                             h: float | None = None) -> float:
+def center_identity_residual(solution: StageSolution) -> float:
     """Defect in the center balance p(0) sum(K) = h + sum_e int (1-t) F_e.
 
     Moments use the assembly quadrature, making the identity exact for the
     discrete solution; the returned value is the defect normalized by
     1 + |h| + sum |moments| and is roundoff-sized for a consistent solve.
     """
-    stage = solution.stage if stage is None else stage
-    h = solution.h if h is None else float(h)
-    if field is None:
-        moments = _load_moments(solution)
-    else:
-        w = 1.0 - np.arange(solution.m + 1) / solution.m
-        moments = assemble_loads(field, stage, solution.m) @ w
-    lhs = solution.center * float(stage.coeffs.sum())
+    h = solution.h
+    moments = _load_moments(solution)
+    lhs = solution.center * float(solution.stage.coeffs.sum())
     rhs = h + float(moments.sum())
     return abs(lhs - rhs) / (1.0 + abs(h) + float(np.abs(moments).sum()))
 
 
-def edge_flux_at_center(solution: StageSolution, ell: int) -> float:
-    """K(e) times the first-element slope at the center on edge ell."""
-    if not 1 <= ell <= solution.stage.n:
-        raise InvalidArgumentError(f"edge {ell} not in stage n={solution.stage.n}")
-    e = ell - 1
-    slope = (solution.values[e, 1] - solution.values[e, 0]) * solution.m
-    return float(solution.stage.coeffs[e] * slope)
+def edge_identity_defects(solution: StageSolution) -> np.ndarray:
+    """|K p(0) + K p'(0) - int (1-t) F_e| for every edge, in one pass.
 
-
-def _edge_identity_defects(solution: StageSolution) -> np.ndarray:
-    """|K p(0) + K p'(0) - int (1-t) F_e| for every edge, in one pass."""
+    Unlike the center identity the per-edge balance holds only in the
+    limit: the one-sided slope is first-order accurate, so each defect
+    decays like 1/m.
+    """
     K = solution.stage.coeffs
     slopes = (solution.values[:, 1] - solution.values[:, 0]) * solution.m
     return np.abs(K * solution.center + K * slopes - _load_moments(solution))
-
-
-def edge_identity_residual(solution: StageSolution, ell: int) -> float:
-    """Defect in the per-edge balance K p(0) + K p'(0) = int (1-t) F_e.
-
-    Unlike the center identity this one holds only in the limit: the
-    one-sided slope is first-order accurate, so the defect decays like 1/m.
-    """
-    if not 1 <= ell <= solution.stage.n:
-        raise InvalidArgumentError(f"edge {ell} not in stage n={solution.stage.n}")
-    return float(_edge_identity_defects(solution)[ell - 1])
 
 
 def center_flux_sum(solution: StageSolution) -> float:

@@ -1,4 +1,4 @@
-"""Per-edge radial forcing fields, their group limits and Cesaro averages.
+"""Per-edge radial forcing fields and their group limits.
 
 A field assigns to edge l a profile F_l(t) on [0,1]. Each built-in family
 is one record in ``FAMILIES``: its per-edge declaration, the limit forcing
@@ -20,8 +20,8 @@ import numpy as np
 
 from ._record import Record
 from ._rng import stage_rng
-from .errors import EmptyGroupError, InvalidArgumentError
-from .stargraph import StarStage, TWO_PI, every_third
+from .errors import InvalidArgumentError
+from .stargraph import TWO_PI, every_third
 
 PI = np.pi
 
@@ -31,19 +31,16 @@ GAUSS3_W = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
 
 
 class GridFunction(Record):
-    """Samples of a scalar function at the m+1 uniform nodes of [0,1].
+    """Samples of a scalar function at the m+1 uniform nodes of [0,1]."""
 
-    The orientation tag records which end is the star center (t = 0).
-    """
-
-    def __init__(self, m: int, values, orientation: str = "center"):
+    def __init__(self, m: int, values):
         if m < 2:
             raise InvalidArgumentError("grid needs m >= 2 elements")
         vals = np.array(values, dtype=float)
         if vals.shape != (m + 1,):
             raise InvalidArgumentError("grid carries m + 1 nodal values")
         vals.flags.writeable = False
-        self._set(m=m, values=vals, orientation=orientation)
+        self._set(m=m, values=vals)
 
     @property
     def nodes(self) -> np.ndarray:
@@ -166,8 +163,9 @@ def _ex5_sine(l, third=None):
 
 def _ex2(parameters, seed):
     noise = float(parameters.get("noise", 2.0))
-    if noise < 0:
-        raise InvalidArgumentError("noise amplitude must be >= 0")
+    if not 0 <= 2 * noise < np.inf:  # the width of [-noise, noise]
+        raise InvalidArgumentError(
+            f"noise must be >= 0 with 2 * noise finite, not {noise!r}")
     if "n_edges" not in parameters:
         raise InvalidArgumentError("ex2 needs n_edges to pre-draw its noise")
     max_edge = int(parameters["n_edges"])
@@ -318,35 +316,13 @@ def builtin_field(example_id: str, parameters: dict | None = None,
                         seed=seed, profile=profile, **decl)
 
 
-def edge_load_moment(field: ForcingField, ell: int, panels: int = 64) -> float:
-    """int_0^1 (1 - t) F_l(t) dt by composite 3-point Gauss.
-
-    The rule's error scales like the sixth power of oscillations per
-    panel: 64 panels hit machine precision for a handful of oscillations
-    on [0, 1] but only ~1e-7 for a dozen, so pass more panels for fast
-    fields.
-    """
-    if panels < 1:
-        raise InvalidArgumentError("panels must be >= 1")
-    t = ((np.arange(panels)[:, None] + GAUSS3_X[None, :]) / panels).ravel()
-    w = np.tile(GAUSS3_W / panels, panels)
-    vals = field.values(np.array([ell]), t)[0]
-    return float(np.sum(w * (1.0 - t) * vals))
-
-
 def profile_moment(f: Callable[[np.ndarray], np.ndarray], panels: int = 64) -> float:
-    """Same weighted integral for a bare profile t -> f(t)."""
+    """int_0^1 (1 - t) f(t) dt by composite 3-point Gauss.
+
+    The error falls like panels^-6: 64 panels are exact to roundoff for a
+    few oscillations on [0, 1], not for a dozen.
+    """
     t = ((np.arange(panels)[:, None] + GAUSS3_X[None, :]) / panels).ravel()
     w = np.tile(GAUSS3_W / panels, panels)
     return float(np.sum(w * (1.0 - t) * np.asarray(f(t), dtype=float)))
 
-
-def cesaro_forcing_average(field: ForcingField, stage: StarStage, group: int,
-                           m: int) -> GridFunction:
-    """Nodewise mean of F_l over the edges of one group, on an m-element grid."""
-    mask = stage.group_mask(group)
-    if not mask.any():
-        raise EmptyGroupError(f"group {group} has no edges at stage n={stage.n}")
-    ells = np.flatnonzero(mask) + 1
-    t = np.arange(m + 1) / m
-    return GridFunction(m=m, values=field.values(ells, t).mean(axis=0))

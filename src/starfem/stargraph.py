@@ -8,8 +8,6 @@ are the finite-n estimates of the limiting shares s_i.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from ._record import Record
@@ -27,36 +25,22 @@ class StarStage(Record):
     """Coefficients of one n-edge star.
 
     ``group_of`` holds 1-based group indices; ``coeffs[l] ==
-    group_values[group_of[l] - 1]`` for every edge. ``c_K`` is the recorded
-    uniform lower coefficient bound. The edge directions are not stored:
-    no solve reads them, and ``vertex_angles(n)`` gives them on demand.
+    group_values[group_of[l] - 1]`` for every edge. The edge directions
+    l mod 2 pi are not stored: no solve reads them.
     """
 
     def __init__(self, n: int, coeffs: np.ndarray, group_of: np.ndarray,
-                 group_values: tuple, c_K: float):
+                 group_values: tuple):
         coeffs.flags.writeable = False
         group_of.flags.writeable = False
         self._set(n=n, coeffs=coeffs, group_of=group_of,
-                  group_values=group_values, c_K=c_K)
+                  group_values=group_values)
 
     def group_mask(self, i: int) -> np.ndarray:
         """Boolean mask of the edges in 1-based group i."""
         if not 1 <= i <= len(self.group_values):
             raise InvalidArgumentError(f"group index {i} out of range")
         return self.group_of == i
-
-
-class GroupStats(NamedTuple):
-    counts: tuple[int, ...]
-    fractions: tuple[float, ...]
-    kbar: float
-
-
-def vertex_angles(n: int) -> np.ndarray:
-    """Edge directions l mod 2*pi for l = 1..n, each in [0, 2*pi)."""
-    if n < 1:
-        raise InvalidArgumentError("vertex_angles requires n >= 1")
-    return np.mod(np.arange(1, n + 1, dtype=float), TWO_PI)
 
 
 def coefficient_random(
@@ -171,8 +155,7 @@ def group_star(coeffs) -> StarStage:
     g = coeffs.size
     return StarStage(n=g, coeffs=coeffs,
                      group_of=np.arange(1, g + 1),
-                     group_values=tuple(coeffs.tolist()),
-                     c_K=float(coeffs.min()))
+                     group_values=tuple(coeffs.tolist()))
 
 
 def group_shares(source: str, probs=GROUP_PROBS, values=GROUP_VALUES) -> tuple:
@@ -226,18 +209,5 @@ def build_stage(
         raise InvalidArgumentError("diffusion coefficients must be positive")
     if group_of is None:
         group_of = _group_of(coeff_arr, group_values)
-    return StarStage(
-        n=n,
-        coeffs=coeff_arr,
-        group_of=group_of,
-        group_values=group_values,
-        c_K=float(coeff_arr.min()),
-    )
-
-
-def group_stats(stage: StarStage) -> GroupStats:
-    counts = tuple(int(np.sum(stage.group_of == i + 1))
-                   for i in range(len(stage.group_values)))
-    fractions = tuple(c / stage.n for c in counts)
-    kbar = float(np.dot(fractions, stage.group_values))
-    return GroupStats(counts=counts, fractions=fractions, kbar=kbar)
+    return StarStage(n=n, coeffs=coeff_arr, group_of=group_of,
+                     group_values=group_values)

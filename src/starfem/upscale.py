@@ -178,17 +178,6 @@ def build_upscaled(example_id: str, parameters: dict | None = None,
     return _limit(example_id, parameters, probs, values, coeff, h)[0]
 
 
-def weighted_flux_defect(problem: UpscaledProblem,
-                         funcs: Sequence[Callable]) -> float:
-    """|sum_i s_i K_i f_i'(0) + hbar| with a one-sided O(d^2) slope."""
-    d = 1e-6
-    total = problem.hbar
-    for i, f in enumerate(funcs):
-        slope = (-3 * float(f(0.0)) + 4 * float(f(d)) - float(f(2 * d))) / (2 * d)
-        total += problem.s[i] * problem.K[i] * slope
-    return abs(total)
-
-
 def analytic_oracle(example_id: str, parameters: dict | None = None,
                     probs: Sequence[float] = GROUP_PROBS,
                     values: Sequence[float] = GROUP_VALUES, *,
@@ -214,7 +203,8 @@ def printed_curves(example_id: str, parameters: dict | None = None,
     """The group curves as the paper prints them, in the given orientation.
 
     The ex3 pair fails the weighted flux balance at the center (defect
-    4 pi / 3, ``weighted_flux_defect``); the derived oracle restores it.
+    4 pi / 3, measured by ``weighted_flux_defect`` in the test suite's
+    ``tests/_reference.py``); the derived oracle restores it.
     The law must admit a limit, as for ``build_upscaled``.
     """
     printed = _limit(example_id, parameters, probs, values, coeff, 0.0)[2]

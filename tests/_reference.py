@@ -144,3 +144,34 @@ def gauss_hat_loads(A, q, m, orientation="center", dps=40):
                 loads[i] += (1 - xj) * f
                 loads[i + 1] += xj * f
         return np.array([float(v) for v in loads])
+
+
+def cesaro_forcing_average(field, stage, group, m):
+    """Nodewise mean of F_l over the edges of 1-based ``group``, (m + 1,).
+
+    The edges are those with ``stage.group_of == group``; the field under
+    test is sampled through ``field.values`` at the m + 1 uniform nodes.
+    """
+    ells = np.flatnonzero(np.asarray(stage.group_of) == group) + 1
+    if not ells.size:
+        raise ValueError(f"group {group} has no edges at stage n={stage.n}")
+    return field.values(ells, np.arange(m + 1) / m).mean(axis=0)
+
+
+def weighted_flux_defect(problem, funcs):
+    """|sum_i s_i K_i f_i'(0) + hbar| of group curves ``funcs``.
+
+    The slope at the center is the one-sided O(d^2) difference with
+    d = 1e-6; ``problem`` supplies the shares s, values K and datum hbar.
+    """
+    d = 1e-6
+    total = problem.hbar
+    for s, K, f in zip(problem.s, problem.K, funcs):
+        slope = (-3 * float(f(0.0)) + 4 * float(f(d)) - float(f(2 * d))) / (2 * d)
+        total += s * K * slope
+    return abs(total)
+
+
+def center_edge_flux(K, values, m):
+    """K times the first-element slope (u_1 - u_0) m of one edge's values."""
+    return K * (values[1] - values[0]) * m

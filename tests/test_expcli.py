@@ -8,13 +8,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from starfem import (ExperimentConfig, edge_identity_residual, parse_config,
+from starfem import (ExperimentConfig, edge_identity_defects, parse_config,
                      run, solve_example_stage)
 from starfem.errors import ConfigError
-from starfem.expcli import _PARSERS, FLOAT_FMT, _validate, main
+from starfem.expcli import (_PARSERS, _SUBCOMMAND_EMIT, FLOAT_FMT,
+                            _build_parser, _config_from_args, _validate,
+                            main)
 
 BASE = "example=ex1\nstages=4,8\nmesh=8\n"
 
@@ -178,7 +180,7 @@ class TestRun:
             f"example=ex3\nemit=identity\nn=50\nmesh=20\nh=1.5\nout={out}")
         run(cfg)
         sol = solve_example_stage("ex3", 50, 20, h=1.5)
-        expect = max(edge_identity_residual(sol, ell) for ell in range(1, 51))
+        expect = float(edge_identity_defects(sol).max())
         assert _read(out).splitlines()[2].split(",")[3] \
             == FLOAT_FMT.format(expect)
 
@@ -445,6 +447,33 @@ class TestMain:
         assert main(["weyl", "--n", "100", "--interval", "0,pi",
                      "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["weyl", "--interval", "0,1,2"], "--interval"),
+        (["weyl", "--interval", "0,abc"], "--interval"),
+        (["rate", "--errors", "1,2,nan,3"], "--errors"),
+        (["weyl", "--n", "abc"], "--n"),
+        (["weyl", "--seed", "-1"], "--seed"),
+    ])
+    def test_bad_flag_values_name_the_flag(self, tmp_path, capsys, argv,
+                                           flag):
+        # a flag's text goes through the parser of the config key
+        out = tmp_path / "f.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: ")
+        assert "line 0" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "table"])
+    def test_ex2_noise_with_an_overflowing_range_exits_2(self, tmp_path,
+                                                         capsys, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("example=ex2\nnoise=1e308\nn=4\nstages=4,8\nmesh=8\n")
+        out = tmp_path / "n.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "noise" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_console_script_is_installed(self, tmp_path):
         out = tmp_path / "w.csv"
         proc = subprocess.run(
@@ -514,7 +543,42 @@ _TOKENS = st.sampled_from([
 ])
 
 
+#: the value flags of the subcommands that need no config
+_FLAGS_OF = {"weyl": ("out", "seed", "mesh", "n", "interval"),
+             "rate": ("out", "seed", "mesh", "errors")}
+
+
 class TestConfigProperties:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), command=st.sampled_from(sorted(_FLAGS_OF)))
+    def test_flags_parse_like_config_keys(self, tmp_path, monkeypatch,
+                                          capsys, data, command):
+        # relative --out paths land under tmp_path
+        monkeypatch.setenv("STARFEM_OUT_DIR", str(tmp_path))
+        keys = data.draw(st.lists(st.sampled_from(_FLAGS_OF[command]),
+                                  unique=True, max_size=3))
+        # padded with blanks, which a config line's value loses
+        pad = st.sampled_from(["", " "])
+        value = st.tuples(pad, st.lists(_TOKENS, max_size=4).map("".join), pad)
+        raws = {k: "".join(data.draw(value)) for k in keys}
+        argv = [command] + [f"--{k}={raws[k]}" for k in keys]
+        assert main(argv) in (0, 2, 3, 4)
+        capsys.readouterr()
+        assume(not any("\n" in raw for raw in raws.values()))
+        # the same values as lines of a config file
+        text = f"example=ex1\nemit={_SUBCOMMAND_EMIT[command]}\n" + "".join(
+            f"{k}={raw}\n" for k, raw in raws.items())
+        try:
+            from_file = parse_config(text)
+        except ConfigError:
+            from_file = None
+        try:
+            from_flags = _config_from_args(_build_parser().parse_args(argv))
+        except ConfigError:
+            from_flags = None
+        assert from_flags == from_file
+
     @settings(max_examples=300, deadline=None)
     @given(text=st.one_of(
         st.text(max_size=80),

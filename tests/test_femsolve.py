@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _reference import (
+    center_edge_flux,
     continuum_center,
     dense_solve,
     dense_system,
@@ -25,8 +26,7 @@ from starfem import (
     builtin_field,
     center_flux_sum,
     center_identity_residual,
-    edge_flux_at_center,
-    edge_identity_residual,
+    edge_identity_defects,
     manufactured_case,
     manufactured_exact,
     solve,
@@ -574,13 +574,13 @@ class TestIdentities:
         field = builtin_field("ex3")
         sol = solve_stage(stage, field, 4.0, 20)
         direct = center_identity_residual(sol)
-        recomputed = center_identity_residual(sol, stage=stage, field=field,
-                                              h=4.0)
+        recomputed = center_identity_residual(
+            sol.replace(node_loads=assemble_loads(field, stage, 20)))
         assert direct == pytest.approx(recomputed, abs=1e-15)
 
     def test_center_identity_flags_wrong_datum(self):
         sol = solve_stage(build_stage(10), builtin_field("ex3"), 4.0, 20)
-        assert center_identity_residual(sol, h=5.0) > 1e-3
+        assert center_identity_residual(sol.replace(h=5.0)) > 1e-3
 
     def test_flux_sum_balances_the_load(self):
         # summing the interior equations leaves sum_e K p'(0) + h equal to
@@ -598,11 +598,10 @@ class TestIdentities:
         field = builtin_field("constant", {"c": 2.0})
         for m in (10, 100):
             sol = solve_stage(stage, field, 0.0, m)
-            for ell in range(1, 5):
-                # constant forcing makes the one-sided slope error exactly
-                # c / (2 m) on every edge
-                assert edge_identity_residual(sol, ell) == pytest.approx(
-                    1.0 / m, rel=1e-9)
+            # constant forcing makes the one-sided slope error exactly
+            # c / (2 m) on every edge
+            assert edge_identity_defects(sol) == pytest.approx(
+                np.full(4, 1.0 / m), rel=1e-9)
 
     def test_edge_flux_converges_to_predicted_value(self):
         stage = build_stage(2, source="explicit", coeffs=[1.0, 1.0])
@@ -612,14 +611,8 @@ class TestIdentities:
         # -p0 + c/(2K) K ... with p0 = 1/2 here: flux = -1/2 + 1 = 1/2
         p0 = sol.center
         expect = -p0 + 1.0
-        assert edge_flux_at_center(sol, 1) == pytest.approx(expect, abs=5e-3)
-
-    def test_identity_edge_bounds_checked(self):
-        sol = solve_stage(build_stage(3), builtin_field("ex1"), 0.0, 5)
-        with pytest.raises(InvalidArgumentError):
-            edge_identity_residual(sol, 4)
-        with pytest.raises(InvalidArgumentError):
-            edge_flux_at_center(sol, 0)
+        flux = center_edge_flux(stage.coeffs[0], sol.values[0], sol.m)
+        assert flux == pytest.approx(expect, abs=5e-3)
 
 
 class TestManufactured:

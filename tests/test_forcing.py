@@ -5,15 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _reference import quad_moment
+from _reference import cesaro_forcing_average, quad_moment
 from starfem import (
-    EmptyGroupError,
     GridFunction,
     InvalidArgumentError,
     build_stage,
     builtin_field,
-    cesaro_forcing_average,
-    edge_load_moment,
     manufactured_exact,
     manufactured_profile,
     profile_moment,
@@ -83,9 +80,11 @@ class TestNoisyFamily:
         with pytest.raises(InvalidArgumentError):
             builtin_field("ex2")
 
-    def test_noise_must_be_nonnegative(self):
-        with pytest.raises(InvalidArgumentError):
-            builtin_field("ex2", {"n_edges": 5, "noise": -1.0})
+    @pytest.mark.parametrize("noise", [-1.0, 1e308, float("nan")])
+    def test_noise_must_be_nonnegative(self, noise):
+        # the draw spans [-noise, noise]: 2 * 1e308 overflows its width
+        with pytest.raises(InvalidArgumentError, match="noise"):
+            builtin_field("ex2", {"n_edges": 5, "noise": noise})
 
     def test_offsets_are_constant_in_t_and_bounded(self):
         noise = 3.0
@@ -234,12 +233,18 @@ def test_rim_orientation_reverses_the_profile():
                            atol=1e-13)
 
 
+def _edge_profile(field, ell):
+    """t -> F_ell(t), the row of ``field.values`` for one edge."""
+    return lambda t: field.values(np.array([ell]), t)[0]
+
+
 class TestMoments:
     def test_against_adaptive_quadrature(self):
         f = builtin_field("ex3")
         for ell in (1, 3, 7):
             ref = quad_moment(lambda t: f.eval(ell, float(t)))
-            assert edge_load_moment(f, ell) == pytest.approx(ref, abs=1e-11)
+            assert profile_moment(_edge_profile(f, ell)) == pytest.approx(
+                ref, abs=1e-11)
 
     def test_profile_moment_of_linear_ramp(self):
         # int (1-t)^2 = 1/3 exactly, a polynomial the rule must nail
@@ -251,35 +256,26 @@ class TestMoments:
         # panel count is visibly inexact and quadrupling it buys ~4^6
         f = builtin_field("ex5")
         ref = quad_moment(lambda t: f.eval(25, float(t)))
-        e64 = abs(edge_load_moment(f, 25, panels=64) - ref)
-        e256 = abs(edge_load_moment(f, 25, panels=256) - ref)
+        e64 = abs(profile_moment(_edge_profile(f, 25), panels=64) - ref)
+        e256 = abs(profile_moment(_edge_profile(f, 25), panels=256) - ref)
         assert e64 < 1e-5
         assert e256 < e64 / 500
-        assert edge_load_moment(f, 25, panels=1024) == pytest.approx(
-            ref, abs=1e-11)
-
-    def test_panels_validated(self):
-        with pytest.raises(InvalidArgumentError):
-            edge_load_moment(builtin_field("ex1"), 1, panels=0)
+        assert profile_moment(_edge_profile(f, 25), panels=1024) == \
+            pytest.approx(ref, abs=1e-11)
 
     @settings(max_examples=40, deadline=None)
     @given(a=st.floats(-50, 50), b=st.floats(-50, 50),
            ell=st.integers(min_value=1, max_value=40))
     def test_moment_is_linear_in_the_field(self, a, b, ell):
-        f1 = builtin_field("ex1")
-        f3 = builtin_field("ex3")
-        combo = a * edge_load_moment(f1, ell) + b * edge_load_moment(f3, ell)
-        direct = profile_moment(
-            lambda t: a * f1.values(np.array([ell]), t)[0]
-            + b * f3.values(np.array([ell]), t)[0])
+        f1 = _edge_profile(builtin_field("ex1"), ell)
+        f3 = _edge_profile(builtin_field("ex3"), ell)
+        combo = a * profile_moment(f1) + b * profile_moment(f3)
+        direct = profile_moment(lambda t: a * f1(t) + b * f3(t))
         assert direct == pytest.approx(combo, abs=1e-12 * (1 + abs(a) + abs(b)))
 
 
 class TestCesaroForcingAverage:
-    def test_empty_group_raises(self):
-        stage = build_stage(2)  # no third edge yet, group 1 empty
-        with pytest.raises(EmptyGroupError):
-            cesaro_forcing_average(builtin_field("ex1"), stage, 1, 8)
+    """Group means of the forcing, from ``_reference.cesaro_forcing_average``."""
 
     def test_matches_direct_mean(self):
         stage = build_stage(9)
@@ -287,14 +283,14 @@ class TestCesaroForcingAverage:
         avg = cesaro_forcing_average(f, stage, 2, 10)
         t = np.arange(11) / 10
         direct = f.values(np.array([1, 2, 4, 5, 7, 8]), t).mean(axis=0)
-        assert np.allclose(avg.values, direct, atol=1e-14)
+        assert np.allclose(avg, direct, atol=1e-14)
 
     @pytest.mark.parametrize("n,tol", [(60, 0.5), (600, 0.06), (6000, 0.02)])
     def test_first_family_average_decays(self, n, tol):
         # cos(l) is Cesaro-null, so group averages shrink with the stage
         stage = build_stage(n)
         avg = cesaro_forcing_average(builtin_field("ex1"), stage, 2, 16)
-        assert np.max(np.abs(avg.values)) < PI**2 * tol
+        assert np.max(np.abs(avg)) < PI**2 * tol
 
     def test_two_frequency_average_approaches_radial_limit(self):
         f = builtin_field("ex3")
@@ -305,7 +301,7 @@ class TestCesaroForcingAverage:
         for n in (30, 300, 3000):
             stage = build_stage(n)
             a1 = cesaro_forcing_average(f, stage, 1, m)
-            dist.append(np.max(np.abs(a1.values - lim1(t))))
+            dist.append(np.max(np.abs(a1 - lim1(t))))
         assert dist[2] < dist[0]
         assert dist[2] < 0.5
 
@@ -318,7 +314,7 @@ def test_forcing_average_distance_ladder_is_monotone_with_slack():
     (lim, _), = FAMILIES["ex1"].classes({})
     m = 32
     t = np.arange(m + 1) / m
-    d = [np.max(np.abs(cesaro_forcing_average(f, build_stage(n), 2, m).values
+    d = [np.max(np.abs(cesaro_forcing_average(f, build_stage(n), 2, m)
                        - lim(t)))
          for n in (10, 100, 1000, 10000)]
     for k in range(len(d) - 1):

@@ -1,4 +1,4 @@
-"""Stage construction: angles, coefficient sources, group bookkeeping."""
+"""Stage construction: coefficient sources, group bookkeeping."""
 
 import numpy as np
 import pytest
@@ -8,33 +8,11 @@ from hypothesis import strategies as st
 from starfem import (
     GROUP_PROBS,
     GROUP_VALUES,
-    TWO_PI,
     InvalidArgumentError,
     build_stage,
     coefficient_random,
-    group_stats,
-    vertex_angles,
 )
 from starfem.stargraph import group_shares
-
-
-def test_vertex_angles_are_indices_mod_two_pi():
-    a = vertex_angles(10)
-    assert a.shape == (10,)
-    assert np.allclose(a, np.mod(np.arange(1, 11, dtype=float), TWO_PI))
-    assert np.all((0.0 <= a) & (a < TWO_PI))
-
-
-def test_vertex_angles_wrap_after_six_edges():
-    a = vertex_angles(8)
-    # edge 7 is the first to wrap: 7 - 2*pi
-    assert a[6] == pytest.approx(7.0 - TWO_PI)
-    assert a[6] < a[0]
-
-
-def test_vertex_angles_rejects_empty_star():
-    with pytest.raises(InvalidArgumentError):
-        vertex_angles(0)
 
 
 @pytest.mark.parametrize("ell,expected", [
@@ -97,7 +75,6 @@ def test_build_stage_deterministic_layout():
     assert np.array_equal(stage.coeffs[np.arange(1, 13) % 3 == 0], [1.0] * 4)
     assert np.array_equal(stage.group_of, [2, 2, 1, 2, 2, 1, 2, 2, 1, 2, 2, 1])
     assert stage.group_values == GROUP_VALUES
-    assert stage.c_K == 1.0
 
 
 def test_build_stage_rejects_single_edge():
@@ -115,7 +92,6 @@ def test_build_stage_explicit_coeffs():
     stage = build_stage(4, source="explicit", coeffs=[3.0, 1.0, 3.0, 0.5])
     assert stage.group_values == (0.5, 1.0, 3.0)
     assert np.array_equal(stage.group_of, [3, 2, 3, 1])
-    assert stage.c_K == 0.5
 
 
 def test_build_stage_explicit_requires_matching_length():
@@ -182,11 +158,10 @@ def test_stage_arrays_are_frozen():
         stage.group_of[0] = 1
 
 
-def test_group_stats_deterministic_counts():
-    stats = group_stats(build_stage(300))
-    assert stats.counts == (100, 200)
-    assert stats.fractions == (pytest.approx(1 / 3), pytest.approx(2 / 3))
-    assert stats.kbar == pytest.approx(5 / 3)
+def test_deterministic_group_counts():
+    stage = build_stage(300)
+    assert np.bincount(stage.group_of).tolist() == [0, 100, 200]
+    assert stage.coeffs.mean() == pytest.approx(5 / 3)
 
 
 @settings(max_examples=60, deadline=None)
@@ -195,22 +170,12 @@ def test_group_stats_deterministic_counts():
        source=st.sampled_from(["deterministic", "random"]))
 def test_group_counts_partition_the_edges(n, seed, source):
     stage = build_stage(n, source=source, seed=seed)
-    stats = group_stats(stage)
-    assert sum(stats.counts) == n
-    assert sum(stats.fractions) == pytest.approx(1.0)
-    masks = [stage.group_mask(i + 1) for i in range(len(stage.group_values))]
+    groups = len(stage.group_values)
+    counts = np.bincount(stage.group_of, minlength=groups + 1)
+    assert counts[0] == 0 and counts.sum() == n
+    masks = [stage.group_mask(i + 1) for i in range(groups)]
+    assert [int(m.sum()) for m in masks] == counts[1:].tolist()
     assert np.all(sum(m.astype(int) for m in masks) == 1)
-
-
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(min_value=2, max_value=400),
-       seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_mean_coefficient_dominates_the_floor(n, seed):
-    stage = build_stage(n, source="random", seed=seed)
-    stats = group_stats(stage)
-    assert stats.kbar >= stage.c_K - 1e-15
-    assert stats.kbar <= max(stage.group_values) + 1e-15
-    assert stage.c_K == stage.coeffs.min()
 
 
 @settings(max_examples=30, deadline=None)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from _reference import quad_moment
+from _reference import quad_moment, weighted_flux_defect
 from starfem import (
     GridFunction,
     InvalidArgumentError,
@@ -15,7 +15,6 @@ from starfem import (
     predicted_edge_flux,
     sample_grid,
     solve_upscaled,
-    weighted_flux_defect,
 )
 from starfem.forcing import FAMILIES
 from starfem.upscale import datum_limit, printed_curves
